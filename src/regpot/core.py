@@ -26,6 +26,12 @@ _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 3000
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class EvalParams:
     """Argument bundle (m, p, x) with domain validation."""
@@ -35,6 +41,7 @@ class EvalParams:
     x: float
 
     def __post_init__(self):
+        _check_finite(m=self.m, p=self.p, x=self.x)
         if self.p <= 0:
             raise DomainError(f"p must be positive, got {self.p}")
         if self.m < -1:
@@ -53,11 +60,25 @@ class EvalParams:
 class EvalResult:
     value: float
     abs_err_estimate: float
-    method: str  # quadrature | asymptotic | closed_form_inv_p | polynomial_rep | recursion | convention
+    method: str  # quadrature | asymptotic | closed_form_inv_p | convention
 
 
 def _ulp_slack(value: float) -> float:
     return 10.0 * _EPS * abs(value)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+
+
+def _gamma_m1(m: float) -> float:
+    """Gamma(m + 1) as a double, the normalization of both quadratures."""
+    try:
+        return math.exp(math.lgamma(m + 1.0))
+    except OverflowError:
+        raise ConvergenceError(f"Gamma(m + 1) overflows a double at m = {m}; "
+                               "the quadrature is limited to m below about 171") from None
 
 
 # ---------------------------------------------------------------- quadrature
@@ -130,7 +151,7 @@ def _quad_vmp(m: float, p: float, x: float, tol: float) -> tuple[float, float]:
     """Unnormalized-then-normalized quadrature for V_m^p(x), x > 0."""
     xp = x ** p
     expo = -(p - 1.0) / p
-    gamma_m1 = math.exp(math.lgamma(m + 1.0))
+    gamma_m1 = _gamma_m1(m)
     v_guess = (xp + abs(m) + 1.0) ** ((1.0 - p) / p)
     if m + 1.0 / p < 0:
         # below the x = 0 existence threshold the value diverges like
@@ -260,8 +281,7 @@ def _inv_p_integer(p: float) -> int | None:
 
 def eval_vmp(params: EvalParams, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate V_m^p(x) with automatic method selection."""
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     m, p, x = params.m, params.p, params.x
 
     if m == -1:
@@ -301,15 +321,16 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     The integrand behaves like s^(-1) near 0 when xi = 0, for every m, so
     xi = 0 is always rejected.
     """
+    _check_finite(m=m, xi=xi)
     if m <= -1:
         raise DomainError(f"m must be > -1, got {m}")
     if xi == 0:
         raise DomainError("the transform integral diverges at xi = 0")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     xi2 = xi * xi
+    gamma_m1 = _gamma_m1(m)  # raises before 4^(m+1) can overflow
     front = 4.0 ** (m + 1.0) / math.sqrt(2.0 * math.pi)
-    guess = front * math.exp(math.lgamma(m + 1.0)) * (xi2 + 4.0) ** (-(m + 1.0))
+    guess = front * gamma_m1 * (xi2 + 4.0) ** (-(m + 1.0))
     target_abs = max(tol * max(abs(guess), 1e-300), 1e-300)
 
     def phi_at(s: float) -> float:

@@ -4,10 +4,19 @@ All three families are built by their three-term recursions over exact
 rationals in two formal variables, with s standing for 1/p, so every
 identity check below is exact and valid for all p at once.  Numeric p
 enters only at evaluation boundaries.
+
+`eval_via_polynomials` evaluates V_m^p = P_m(x^p) V_0^p + x Q_(m-1)(x^p)
+with P and Q exact.  When the two terms cancel, the anchor is taken from
+its closed form (DLMF 8.2)
+
+    V_0^p(x) = p e^(x^p) int_x^inf e^(-t^p) dt = e^(x^p) Gamma(1/p, x^p),
+
+which at p = 2 is sqrt(pi) e^(x^2) erfc(x).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,39 +130,57 @@ def explicit_P_coeffs(m: int, p: float) -> list[float]:
 
 # ---------------------------------------------------------------- evaluation
 
-def _exact_pow(base: float, p: float):
-    """base^p as an exact Fraction when p is a nonnegative integer, else a float."""
-    if float(p).is_integer() and p >= 0:
-        return Fraction(base) ** int(p)
-    return base ** p
+def _exact_y_s(p: float, x: float) -> tuple[Fraction, Fraction]:
+    """(x^p, 1/p) as Fractions: exact when p is an integer, else the doubles."""
+    if float(p).is_integer():
+        return Fraction(x) ** int(p), Fraction(1, int(p))
+    return Fraction(x ** p), Fraction(1.0 / p)
 
 
-_anchor_v0_cache: dict = {}
+@functools.lru_cache(maxsize=512)
+def _y_coeffs(family: str, m: int, s: Fraction) -> tuple[tuple[int, ...], int]:
+    """P_m or Q_m (`family`) at the exact s as a polynomial in y: integer
+    numerators of the coefficients of y^0..y^m over one common denominator."""
+    poly = (build_P if family == "P" else build_Q)(m).poly
+    cs = [Fraction(0)] * (m + 1)
+    for (k, j), c in poly.coeffs.items():
+        cs[k] += c * s ** j
+    den = math.lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+def _eval_y(family: str, m: int, s: Fraction, y: Fraction) -> Fraction:
+    """P_m(y; s) or Q_m(y; s), exactly, by Horner over integers: with
+    y = a/b the sum of n_k a^k b^(m-k) is reduced once at the end."""
+    nums, den = _y_coeffs(family, m, s)
+    a, b = y.numerator, y.denominator
+    acc, b_pow = nums[-1], 1
+    for n in reversed(nums[:-1]):
+        b_pow *= b
+        acc = acc * a + n * b_pow
+    return Fraction(acc, den * b_pow)
 
 
 def _anchor_v0_hp(p: float, x: float, dps: int):
-    """High-precision V_0^p(x) used when the polynomial combination cancels."""
-    key = (p, x, dps)
-    if key not in _anchor_v0_cache:
-        with mp.workdps(dps):
-            if p == 2:
-                v = mp.sqrt(mp.pi) * mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
-            else:
-                xp = mp.mpf(x) ** p
-                expo = -(mp.mpf(p) - 1) / p
-                f = lambda u: mp.e ** (-u) * (xp + u) ** expo
-                v = mp.quad(f, [0, 1, 10, 50, mp.inf])
-            _anchor_v0_cache[key] = +v
-    return _anchor_v0_cache[key]
+    """V_0^p(x) = e^(x^p) Gamma(1/p, x^p) at `dps` digits, for the cancelling
+    polynomial combination; at p = 2 this is sqrt(pi) e^(x^2) erfc(x)."""
+    with mp.workdps(dps):
+        if p == 2:
+            v = mp.sqrt(mp.pi) * mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
+        else:
+            xp = mp.mpf(x) ** p
+            v = mp.exp(xp) * mp.gammainc(1 / mp.mpf(p), xp)
+        return +v
 
 
 def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """V_m^p(x) through the polynomial representation.
 
     Integer m: V_m = P_m(x^p) V_0 + x Q_(m-1)(x^p), with P, Q exact.  The two
-    terms cancel catastrophically once x^p is large relative to m, so the
-    anchor V_0 is upgraded to enough working precision to absorb the measured
-    condition number before the combination is formed.
+    terms cancel catastrophically once x^p is large relative to m.  When the
+    measured condition number exceeds 1e3, or the anchor's own error
+    amplified by it would exceed tol/2, V_0 is recomputed from its closed
+    form at enough working precision to absorb that condition number.
 
     Non-integer m: the anchor pair (V_a, V_(a-1)) at a = m - floor(m) is
     combined with numeric coefficient chains following the same recursion.
@@ -162,23 +189,22 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
         raise DomainError(f"polynomial representation requires m >= 1, got {m}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
+    EvalParams(m, p, x)  # rejects non-finite m, p, x
     if float(m).is_integer():
         mi = int(m)
-        s = Fraction(1.0 / p) if not float(p).is_integer() else Fraction(1, int(p))
-        yv = _exact_pow(x, p)
-        if not isinstance(yv, Fraction):
-            yv = Fraction(yv)
-        P = build_P(mi).poly.eval(y=yv, s=s)
-        Q = build_Q(mi - 1).poly.eval(y=yv, s=s)
-        v0 = eval_vmp(EvalParams(0.0, p, x), tol).value
+        yv, s = _exact_y_s(p, x)
+        P = _eval_y("P", mi, s, yv)
+        Q = _eval_y("Q", mi - 1, s, yv)
+        anchor = eval_vmp(EvalParams(0.0, p, x), tol)
+        v0 = anchor.value
         value = float(P * Fraction(v0) + Fraction(x) * Q)
         big = abs(float(P)) * abs(v0)
         # Jensen-scale magnitude; the float `value` itself is unreliable when
         # the combination cancels, so it must not enter the condition estimate
         v_scale = (float(yv) + max(m, 0.0)) ** ((1.0 - p) / p)
         cond = big / v_scale
-        if cond > 1e3:
-            dps = 30 + int(math.log10(cond))
+        if cond > 1e3 or cond * anchor.abs_err_estimate / abs(v0) > 0.5 * tol:
+            dps = 30 + int(math.log10(max(cond, 1.0)))
             v0_hp = _anchor_v0_hp(p, x, dps)
             with mp.workdps(dps):
                 value = float(mp.mpf(P.numerator) / P.denominator * v0_hp

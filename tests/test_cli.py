@@ -173,6 +173,23 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
 
 
+def test_large_m_is_clean_error(capsys):
+    code = cli.main(["eval", "--m", "200", "--p", "2", "--x", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_input_is_domain_error(capsys):
+    for argv in (["--m", "nan", "--p", "2", "--x", "1"], ["--m", "1", "--p", "nan", "--x", "1"],
+                 ["--m", "1", "--p", "2", "--x", "nan"]):
+        code = cli.main(["eval", *argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "must be finite" in err
+
+
 def test_usage_error_exit_code(capsys):
     code = cli.main(["eval", "--m", "0"])
     capsys.readouterr()

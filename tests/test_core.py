@@ -3,12 +3,13 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from oracles import simpson_fourier, simpson_vmp, vm0_oracle
 from regpot.core import (EvalParams, eval_asymptotic, eval_closed_form_inv_p,
                          eval_fourier_transform, eval_vm0, eval_vmp, vmp)
-from regpot.errors import AsymptoticRegimeError, DomainError
+from regpot.errors import AsymptoticRegimeError, ConvergenceError, DomainError
 
 
 def rel(a, b):
@@ -134,6 +135,42 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         eval_vmp(EvalParams(0.0, 2.0, 1.0), tol=0.0)
     EvalParams(-0.4, 2.0, 0.0)  # fine: -0.4 > -1/2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_domain_error(bad):
+    for args in ((bad, 2.0, 1.0), (1.0, bad, 1.0), (1.0, 2.0, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            EvalParams(*args)
+    with pytest.raises(DomainError, match="finite"):
+        eval_vmp(EvalParams(1.0, 2.0, 1.0), tol=bad)
+    with pytest.raises(DomainError, match="finite"):
+        eval_fourier_transform(1.0, bad)
+    with pytest.raises(DomainError, match="finite"):
+        eval_fourier_transform(bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        eval_fourier_transform(1.0, 1.0, tol=bad)
+
+
+def test_large_m_overflow_is_convergence_error():
+    # Gamma(m + 1) overflows a double from m ~ 171.6; 4^(m + 1) from m ~ 511
+    for m in (171.0, 200.0, 600.0):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            eval_vmp(EvalParams(m, 2.0, 1.0))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            eval_fourier_transform(m, 1.0)
+
+
+def test_large_m_asymptotic_dispatch_still_answers():
+    # x^p well past 2(m + 2): the asymptotic series answers before any overflow.
+    # Reference: V_m^2(x) = x^(2m+1) U(m+1, m+3/2, x^2) at 30 digits
+    x = 50.0
+    for m in (171.0, 200.0):
+        res = eval_vmp(EvalParams(m, 2.0, x))
+        assert res.method == "asymptotic"
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(x) ** (2 * m + 1) * mpmath.hyperu(m + 1, m + 1.5, x * x))
+        assert abs(res.value - want) <= res.abs_err_estimate
 
 
 def test_vmp_wrapper_bit_for_bit():

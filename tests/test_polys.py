@@ -3,13 +3,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from regpot import polys
 from regpot.core import EvalParams, eval_vmp
 from regpot.polys import (P_root_nonneg, build_P, build_Q, build_tildeP,
                           derivative_identities_check, eval_via_polynomials,
                           explicit_P_coeffs, hypergeometric_check,
                           ode_residual_check, sum_identity_check, tildeP_roots)
+from regpot.errors import DomainError
 from regpot.ratpoly import RatPoly
 
 
@@ -93,6 +96,71 @@ def test_eval_via_polynomials_fractional_anchor():
         got = eval_via_polynomials(m, 2.0, 1.3)
         want = eval_vmp(EvalParams(m, 2.0, 1.3), 1e-12).value
         assert rel(got, want) < 1e-8
+
+
+def test_horner_coefficients_equal_bivariate_eval():
+    for p in (2.0, 3.0, 2.5):
+        for x in (0.3, 1.7, 6.1):
+            y, s = polys._exact_y_s(p, x)
+            for m in range(0, 21):
+                assert polys._eval_y("P", m, s, y) == build_P(m).poly.eval(y=y, s=s)
+                assert polys._eval_y("Q", m, s, y) == build_Q(m).poly.eval(y=y, s=s)
+
+
+def test_anchor_matches_integral_representation():
+    # V_0^p(x) = int_0^inf e^(-u) (x^p + u)^((1-p)/p) du
+    for p in (0.5, 1.5, 2.5, 3.0):
+        for x in (0.3, 2.9, 6.1):
+            got = polys._anchor_v0_hp(p, x, 40)
+            with mpmath.workdps(40):
+                xp = mpmath.mpf(x) ** p
+                expo = (1 - mpmath.mpf(p)) / p
+                want = mpmath.quad(lambda u: mpmath.exp(-u) * (xp + u) ** expo,
+                                   [0, 1, 10, 50, mpmath.inf])
+                assert abs(got - want) <= mpmath.mpf("1e-35") * want
+
+
+def test_high_precision_anchor_needs_no_quadrature(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+
+    gammainc_calls = []
+    gammainc = polys.mp.gammainc
+
+    def counting_gammainc(*args, **kwargs):
+        gammainc_calls.append(args)
+        return gammainc(*args, **kwargs)
+
+    monkeypatch.setattr(polys.mp, "quad", no_quad)
+    monkeypatch.setattr(polys.mp, "gammainc", counting_gammainc)
+    for m in range(1, 21):
+        got = eval_via_polynomials(float(m), 3.0, 6.1)
+        want = eval_vmp(EvalParams(float(m), 3.0, 6.1), 1e-12).value
+        assert rel(got, want) < 1e-9
+    assert gammainc_calls  # the cancelling combination took the closed-form anchor
+
+
+def _mp_vmp(m, p, x):
+    """x^(pm+1) U(m+1, m+1+1/p, x^p) (DLMF 13.4(ii)) at 30 digits."""
+    with mpmath.workdps(30):
+        m, p, x = mpmath.mpf(m), mpmath.mpf(p), mpmath.mpf(x)
+        return float(x ** (p * m + 1) * mpmath.hyperu(m + 1, m + 1 + 1 / p, x ** p))
+
+
+@pytest.mark.parametrize("m, p, x", [(2, 2.0, 4.937), (2, 3.0, 2.8979)])
+def test_anchor_precision_follows_anchor_error(m, p, x):
+    # cond ~ 1e2 here: the float anchor's ~1e-10 error used to reach 1.2e-8
+    got = eval_via_polynomials(float(m), p, x)
+    assert rel(got, _mp_vmp(m, p, x)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eval_via_polynomials_rejects_non_finite(bad):
+    for args in ((bad, 2.0, 1.0), (2.0, bad, 1.0), (2.0, 2.0, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            eval_via_polynomials(*args)
+    with pytest.raises(DomainError, match="finite"):
+        eval_via_polynomials(2.0, 2.0, 1.0, tol=bad)
 
 
 def test_hypergeometric_agreement():
