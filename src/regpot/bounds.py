@@ -64,20 +64,9 @@ def g_k(k: float, x: float) -> float:
 
 
 def G_k_m(k: float, m: float, y: float) -> float:
-    """G_k^m(y) = k y / ((k-1) y - m + sqrt((y+m)^2 + k y)); limit 2m/(2m+1) at y=0."""
-    if k < 1 or m < 0 or y < 0:
-        raise DomainError(f"need k >= 1, m >= 0, y >= 0; got k={k}, m={m}, y={y}")
-    if y == 0:
-        return 2.0 * m / (2.0 * m + 1.0)
-    return k * y / ((k - 1.0) * y - m + math.sqrt((y + m) ** 2 + k * y))
-
-
-def G_k_m_deriv(k: float, m: float, y: float) -> float:
-    """d/dy G_k^m(y), analytic."""
-    S = math.sqrt((y + m) ** 2 + k * y)
-    D = (k - 1.0) * y - m + S
-    Dp = (k - 1.0) + (y + m + 0.5 * k) / S
-    return k * (D - y * Dp) / (D * D)
+    """G_k^m(y) = k y / ((k-1) y - m + sqrt((y+m)^2 + k y)), the p = 2 case of
+    G_k^(m,p); limit 2m/(2m+1) at y = 0."""
+    return G_k_m_p(k, m, 2.0, y)
 
 
 def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
@@ -92,7 +81,7 @@ def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
             return 1.0
         if m == 0:
             return 0.0
-        return p * m / (p * m + p - 1.0)
+        return p * m / (p * m + (p - 1.0))
     S = math.sqrt(p * p * (xp + m) ** 2 + 2.0 * k * p * (p - 1.0) * xp)
     return k * p * xp / (p * ((k - 1.0) * xp - m) + S)
 
@@ -183,7 +172,9 @@ def h3(x: float) -> float:
     return 2.0 * x * num / den
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """A root of f in [lo, hi] to `tol` absolute; f(lo) and f(hi) must not
+    share a sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -205,13 +196,13 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def crossover_x0() -> float:
     """Root of 9x + 14x^3 + (2x^2 - 1) sqrt(8 + x^2), approximately 0.2511."""
-    return _bisect(lambda x: 9.0 * x + 14.0 * x ** 3
-                   + (2.0 * x * x - 1.0) * math.sqrt(8.0 + x * x), 0.05, 0.5)
+    return bisect(lambda x: 9.0 * x + 14.0 * x ** 3
+                  + (2.0 * x * x - 1.0) * math.sqrt(8.0 + x * x), 0.05, 0.5)
 
 
 def crossover_x1() -> float:
     """Point where g_4 meets h_1, approximately 1.399."""
-    return _bisect(lambda x: g_k(4.0, x) - h1(x), 0.5, 3.0)
+    return bisect(lambda x: g_k(4.0, x) - h1(x), 0.5, 3.0)
 
 
 # ---------------------------------------------------------------- suites
@@ -364,18 +355,3 @@ def verify_r123(tol: float = DEFAULT_TOL) -> Report:
             margin = val - v0(x)
             rep.record(margin > -SLACK, margin, check="h3", x=float(x))
     return rep
-
-
-def gk_anchor_search(m: float, y_grid: list[float] | None = None) -> dict:
-    """Numeric exploration tool: for which k does G_k^m match V-ratio data at 0
-    and stay on one side?  Nothing is asserted; returns the measured envelope."""
-    y_grid = y_grid if y_grid is not None else default_grid(1e-2, 50.0, 80)
-    out = {}
-    for k in (4.0, 6.0, 8.0, 12.0):
-        margins = []
-        for y in y_grid:
-            x = math.sqrt(y)
-            r = ratio(m, 2.0, x)
-            margins.append(r - G_k_m(k, m - 1.0, y))
-        out[k] = {"min_margin": min(margins), "max_margin": max(margins)}
-    return out

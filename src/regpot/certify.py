@@ -59,9 +59,6 @@ class ExtensionElement:
         return (isinstance(other, ExtensionElement)
                 and self.q == other.q and self.a == other.a and self.b == other.b)
 
-    def conj(self) -> "ExtensionElement":
-        return ExtensionElement(self.a, -self.b, self.q)
-
     def norm(self) -> RatPoly:
         """(a + bB)(a - bB) = a^2 - b^2 q."""
         return self.a * self.a - self.b * self.b * self.q
@@ -167,10 +164,6 @@ def positivity_for_m_ge(poly: RatPoly, m_low: int) -> PositivityCertificate:
 # -- construction helpers ---------------------------------------------
 
 
-def _from_table(variables: tuple, table: dict) -> RatPoly:
-    return RatPoly(variables, table)
-
-
 def _match(name: str, derived: RatPoly, reference: RatPoly):
     if derived != reference:
         diff = derived - reference
@@ -220,30 +213,30 @@ def build_chain_k4_p2() -> ChainResult:
     wb = 2 * (3 * y - m) * q * r - 2 * h * (s - t)
     f1 = wb * Fraction(1, 8)
     f2 = -wa * Fraction(1, 8)
-    _match("f1", f1, _from_table(VARS_YM, ref.K4_F1))
-    _match("f2", f2, _from_table(VARS_YM, ref.K4_F2))
+    _match("f1", f1, RatPoly(VARS_YM, ref.K4_F1))
+    _match("f2", f2, RatPoly(VARS_YM, ref.K4_F2))
     guard = _square_guard(q, r, "k4p2")
 
     el = ExtensionElement(-f2, f1, q)
     el = el.diff_times_B()            # d1 - d2 B
     d1, d2 = el.a, -el.b
-    _match("d1", d1, _from_table(VARS_YM, ref.K4_D1))
-    _match("d2", d2, _from_table(VARS_YM, ref.K4_D2))
+    _match("d1", d1, RatPoly(VARS_YM, ref.K4_D1))
+    _match("d2", d2, RatPoly(VARS_YM, ref.K4_D2))
     el = el.diff_times_B()            # -g2 + g1 B
     g1, g2 = el.b, -el.a
-    _match("g1", g1, _from_table(VARS_YM, ref.K4_G1))
-    _match("g2", g2, _from_table(VARS_YM, ref.K4_G2))
+    _match("g1", g1, RatPoly(VARS_YM, ref.K4_G1))
+    _match("g2", g2, RatPoly(VARS_YM, ref.K4_G2))
     el = el.diff_times_B()            # h1 - h2 B
     h1, h2 = el.a, -el.b
-    _match("h1", h1, _from_table(VARS_YM, ref.K4_H1))
-    _match("h2", h2, _from_table(VARS_YM, ref.K4_H2))
+    _match("h1", h1, RatPoly(VARS_YM, ref.K4_H1))
+    _match("h2", h2, RatPoly(VARS_YM, ref.K4_H2))
     el = el.diff_times_B()            # -l2 + l1 B
     l1, l2 = el.b, -el.a
-    _match("l1", l1, _from_table(VARS_YM, ref.K4_L1))
-    _match("l2", l2, _from_table(VARS_YM, ref.K4_L2))
+    _match("l1", l1, RatPoly(VARS_YM, ref.K4_L1))
+    _match("l2", l2, RatPoly(VARS_YM, ref.K4_L2))
 
-    L = q * l1 * l1 - l2 * l2
-    _match("L", L, 4 * _from_table(VARS_YM, ref.K4_L4))
+    L = -el.norm()                    # q l1^2 - l2^2
+    _match("L", L, 4 * RatPoly(VARS_YM, ref.K4_L4))
 
     # H(0) = h1(0) - m h2(0) since B(0) = m; must equal 12m(2 + 5m + 2m^2)
     h_at_0 = h1.subs("y", 0) - m * h2.subs("y", 0)
@@ -282,7 +275,7 @@ def build_chain_k8_p2() -> ChainResult:
     d1, d2 = el.b, -el.a
     el = el.diff_times_B()            # e1 - e2 B
     e1, e2 = el.a, -el.b
-    L = e1 * e1 - q * e2 * e2
+    L = el.norm()                     # e1^2 - q e2^2
 
     L_at_0 = L.subs("y", 0)
     if not L_at_0.is_zero():
@@ -328,8 +321,8 @@ def optimality_factor_generic_k() -> RatPoly:
     big = ((k - 1) * y - m) ** 2 + q
     f1 = q * A2 * A2 + P * P - 4 * q * r * big
     f2 = -(2 * A2 * P - 8 * ((k - 1) * y - m) * q * r)
-    _match("f1", f1, _from_table(VARS_YMK, ref.GK_F1))
-    _match("f2", f2, _from_table(VARS_YMK, ref.GK_F2))
+    _match("f1", f1, RatPoly(VARS_YMK, ref.GK_F1))
+    _match("f2", f2, RatPoly(VARS_YMK, ref.GK_F2))
 
     el = ExtensionElement(f1, -f2, q)
     for _ in range(3):
@@ -361,10 +354,10 @@ def build_chain_p3_k4() -> ChainResult:
         el = el.diff_times_B()
     l1 = el.b * Fraction(1, 1944)
     l2 = -el.a * Fraction(1, 1944)
-    _match("l1", l1, _from_table(VARS_YM, ref.P3_L1))
-    _match("l2", l2, _from_table(VARS_YM, ref.P3_L2))
+    _match("l1", l1, RatPoly(VARS_YM, ref.P3_L1))
+    _match("l2", l2, RatPoly(VARS_YM, ref.P3_L2))
 
-    L = q * l1 * l1 - l2 * l2
+    L = -el.norm() / 1944 ** 2         # q l1^2 - l2^2
     cert = positivity_for_m_ge(L, 1)
     anchors = {
         "l1/3 coeff y^4": str(l1.coeff((4, 0)) / 3),

@@ -1,13 +1,14 @@
 """Exact polynomial families P_m, Q_m, tilde-P_m attached to V_m^p.
 
-All three families are built by their three-term recursions over exact
-rationals in two formal variables, with s standing for 1/p, so every
-identity check below is exact and valid for all p at once.  Numeric p
-enters only at evaluation boundaries.
+All three families are grown by the recursion runner `recursion.recur`
+over exact rationals in two formal variables, with s standing for 1/p:
+P_m = X_m and Q_m = X_(m+1) of the recursion in y, and tilde-P_m = X_m with
+y = s - z.  So every identity check below is exact and valid for all p at
+once.  Numeric p enters only at evaluation boundaries.
 
-`eval_via_polynomials` evaluates V_m^p = P_m(x^p) V_0^p + x Q_(m-1)(x^p)
-with P and Q exact.  When the two terms cancel, the anchor is taken from
-its closed form (DLMF 8.2)
+`eval_via_polynomials` evaluates V_m^p = P_m(y) V_0^p + y^s Q_(m-1)(y), with
+y = x^p, s = 1/p and P, Q exact.  When the two terms cancel, the anchor is
+taken from its closed form (DLMF 8.2)
 
     V_0^p(x) = p e^(x^p) int_x^inf e^(-t^p) dt = e^(x^p) Gamma(1/p, x^p),
 
@@ -23,9 +24,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .bounds import bisect
 from .core import DEFAULT_TOL, EvalParams, eval_vmp
 from .errors import BracketError, DomainError, GammaPoleError, SeriesBudgetError
 from .ratpoly import RatPoly
+from .recursion import recur
 
 _PQ_VARS = ("y", "s")
 _T_VARS = ("z", "s")
@@ -35,43 +38,18 @@ def _one(variables):
     return RatPoly.constant(variables, 1)
 
 
-# family caches, grown on demand; entries are immutable RatPoly
-_P: list[RatPoly] = []
-_Q: list[RatPoly] = []
-_T: list[RatPoly] = []
+_Y, _S = RatPoly.var(_PQ_VARS, "y"), RatPoly.var(_PQ_VARS, "s")
+_ST = RatPoly.var(_T_VARS, "s")
 
-
-def _grow_P(m: int):
-    y = RatPoly.var(_PQ_VARS, "y")
-    s = RatPoly.var(_PQ_VARS, "s")
-    if not _P:
-        _P.append(_one(_PQ_VARS))
-        _P.append(s - y)
-    while len(_P) <= m:
-        k = len(_P)
-        _P.append(((k - 1 + s - y) * _P[k - 1] + y * _P[k - 2]) * Fraction(1, k))
-
-
-def _grow_Q(m: int):
-    y = RatPoly.var(_PQ_VARS, "y")
-    s = RatPoly.var(_PQ_VARS, "s")
-    if not _Q:
-        _Q.append(_one(_PQ_VARS))
-        _Q.append((1 + s - y) * Fraction(1, 2))
-    while len(_Q) <= m:
-        k = len(_Q)
-        _Q.append(((k + s - y) * _Q[k - 1] + y * _Q[k - 2]) * Fraction(1, k + 1))
-
-
-def _grow_T(m: int):
-    z = RatPoly.var(_T_VARS, "z")
-    s = RatPoly.var(_T_VARS, "s")
-    if not _T:
-        _T.append(_one(_T_VARS))
-        _T.append(z)
-    while len(_T) <= m:
-        k = len(_T)
-        _T.append(((k - 1 + z) * _T[k - 1] + (s - z) * _T[k - 2]) * Fraction(1, k))
+# family -> (cache, s, y, shift): entry k of the cache is X_(k + shift) of
+# `recur` in (s, y) from X_(shift - 1) = 0 and X_shift = 1, so P_k = X_k,
+# Q_k = X_(k+1), and tilde-P_k = X_k with y = s - z.  Caches grow on demand;
+# entries are immutable RatPoly.
+_FAMILIES = {
+    "P": ([_one(_PQ_VARS)], _S, _Y, 0),
+    "Q": ([_one(_PQ_VARS)], _S, _Y, 1),
+    "tildeP": ([_one(_T_VARS)], _ST, _ST - RatPoly.var(_T_VARS, "z"), 0),
+}
 
 
 @dataclass(frozen=True)
@@ -81,28 +59,30 @@ class PolyFamilyEntry:
     poly: RatPoly
 
 
-def build_P(m: int) -> PolyFamilyEntry:
-    """P_m in (y, s): P_0 = 1, P_1 = s - y, degree m, Appell up to sign."""
+def _build(family: str, m: int) -> PolyFamilyEntry:
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    _grow_P(m)
-    return PolyFamilyEntry(m, "P", _P[m])
+    cache, s, y, shift = _FAMILIES[family]
+    k = len(cache)
+    if k <= m:
+        cache.extend(recur(range(k + shift, m + 1 + shift), s, y,
+                           cache[k - 2] if k > 1 else 0, cache[-1]))
+    return PolyFamilyEntry(m, family, cache[m])
+
+
+def build_P(m: int) -> PolyFamilyEntry:
+    """P_m in (y, s): P_0 = 1, P_1 = s - y, degree m, Appell up to sign."""
+    return _build("P", m)
 
 
 def build_Q(m: int) -> PolyFamilyEntry:
     """Q_m in (y, s): Q_0 = 1, Q_1 = (1 + s - y)/2."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    _grow_Q(m)
-    return PolyFamilyEntry(m, "Q", _Q[m])
+    return _build("Q", m)
 
 
 def build_tildeP(m: int) -> PolyFamilyEntry:
     """tilde-P_m in (z, s), with P_m(y) = tilde-P_m(s - y); all coefficients >= 0."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    _grow_T(m)
-    return PolyFamilyEntry(m, "tildeP", _T[m])
+    return _build("tildeP", m)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -161,26 +141,43 @@ def _eval_y(family: str, m: int, s: Fraction, y: Fraction) -> Fraction:
     return Fraction(acc, den * b_pow)
 
 
-def _anchor_v0_hp(p: float, x: float, dps: int):
-    """V_0^p(x) = e^(x^p) Gamma(1/p, x^p) at `dps` digits, for the cancelling
-    polynomial combination; at p = 2 this is sqrt(pi) e^(x^2) erfc(x)."""
+def _mpf(q: Fraction):
+    """q at the working precision."""
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _log10_abs(q: Fraction) -> float:
+    """log10 |q| for a Fraction of any size, -inf at 0."""
+    if q == 0:
+        return -math.inf
+    return math.log10(abs(q.numerator)) - math.log10(q.denominator)
+
+
+def _anchor_v0_hp(y: Fraction, s: Fraction, dps: int):
+    """V_0 = e^y Gamma(s, y), with y = x^p and s = 1/p, at `dps` digits, for
+    the cancelling polynomial combination; at s = 1/2 this is
+    sqrt(pi) e^y erfc(sqrt(y))."""
     with mp.workdps(dps):
-        if p == 2:
-            v = mp.sqrt(mp.pi) * mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
+        y = _mpf(y)
+        if s == Fraction(1, 2):
+            v = mp.sqrt(mp.pi) * mp.exp(y) * mp.erfc(mp.sqrt(y))
         else:
-            xp = mp.mpf(x) ** p
-            v = mp.exp(xp) * mp.gammainc(1 / mp.mpf(p), xp)
+            v = mp.exp(y) * mp.gammainc(_mpf(s), y)
         return +v
 
 
 def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """V_m^p(x) through the polynomial representation.
 
-    Integer m: V_m = P_m(x^p) V_0 + x Q_(m-1)(x^p), with P, Q exact.  The two
-    terms cancel catastrophically once x^p is large relative to m.  When the
-    measured condition number exceeds 1e3, or the anchor's own error
-    amplified by it would exceed tol/2, V_0 is recomputed from its closed
-    form at enough working precision to absorb that condition number.
+    Integer m: V_m = P_m(y) V_0 + y^s Q_(m-1)(y) with y = x^p, s = 1/p and
+    P, Q exact.  The two terms cancel catastrophically once y is large
+    relative to m.  When the measured condition number exceeds 1e3, or the
+    anchor's own error amplified by it would exceed tol/2, the combination
+    is recomputed at enough working precision to absorb that condition
+    number, with V_0 = e^y Gamma(s, y) and y^s taken at the same Fractions
+    (y, s) as P and Q.  At non-integer p these are the doubles x^p and 1/p,
+    and a V_0 or x taken at the true x^p and 1/p would differ from them by
+    a rounding error that the condition number amplifies.
 
     Non-integer m: the anchor pair (V_a, V_(a-1)) at a = m - floor(m) is
     combined with numeric coefficient chains following the same recursion.
@@ -197,37 +194,30 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
         Q = _eval_y("Q", mi - 1, s, yv)
         anchor = eval_vmp(EvalParams(0.0, p, x), tol)
         v0 = anchor.value
-        value = float(P * Fraction(v0) + Fraction(x) * Q)
-        big = abs(float(P)) * abs(v0)
-        # Jensen-scale magnitude; the float `value` itself is unreliable when
-        # the combination cancels, so it must not enter the condition estimate
-        v_scale = (float(yv) + max(m, 0.0)) ** ((1.0 - p) / p)
-        cond = big / v_scale
-        if cond > 1e3 or cond * anchor.abs_err_estimate / abs(v0) > 0.5 * tol:
-            dps = 30 + int(math.log10(max(cond, 1.0)))
-            v0_hp = _anchor_v0_hp(p, x, dps)
-            with mp.workdps(dps):
-                value = float(mp.mpf(P.numerator) / P.denominator * v0_hp
-                              + mp.mpf(x) * mp.mpf(Q.numerator) / Q.denominator)
-        return value
+        # condition |P V_0| / |V_m|, with the Jensen-scale magnitude
+        # (y + m)^(s - 1) for |V_m|: the float combination is unreliable
+        # exactly when it cancels.  Taken in log space, because P alone can
+        # pass the float range at large y.
+        log_cond = (_log10_abs(P) + math.log10(abs(v0))
+                    - (1.0 - p) / p * _log10_abs(yv + mi))
+        cond = 10.0 ** min(log_cond, 300.0)
+        if cond <= 1e3 and cond * anchor.abs_err_estimate / abs(v0) <= 0.5 * tol:
+            return float(P * Fraction(v0) + Fraction(x) * Q)
+        dps = 30 + int(max(log_cond, 0.0))
+        v0_hp = _anchor_v0_hp(yv, s, dps)
+        with mp.workdps(dps):
+            return float(_mpf(P) * v0_hp + _mpf(yv) ** _mpf(s) * _mpf(Q))
 
-    # fractional m: numeric coefficient pair (A_j, B_j) with
-    # V_(a+j) = A_j V_a + B_j V_(a-1), same three-term recursion
+    # fractional m: V_(a+j) = A_j V_a + B_j V_(a-1), where A and B follow the
+    # recursion from (1, 0) at a and (0, 1) at a - 1
     a = m - math.floor(m)
-    j = int(math.floor(m))
-    xp = x ** p
-    inv_p = 1.0 / p
-    A_prev2, A_prev1 = 0.0, 1.0
-    B_prev2, B_prev1 = 1.0, 0.0
-    for i in range(1, j + 1):
-        mm = a + i
-        A = ((mm - 1.0 + inv_p - xp) * A_prev1 + xp * A_prev2) / mm
-        B = ((mm - 1.0 + inv_p - xp) * B_prev1 + xp * B_prev2) / mm
-        A_prev2, A_prev1 = A_prev1, A
-        B_prev2, B_prev1 = B_prev1, B
+    ns = [a + i for i in range(1, int(math.floor(m)) + 1)]
+    xp, inv_p = x ** p, 1.0 / p
+    A = recur(ns, inv_p, xp, 0.0, 1.0)[-1]
+    B = recur(ns, inv_p, xp, 1.0, 0.0)[-1]
     va = eval_vmp(EvalParams(a, p, x), tol).value
     va1 = eval_vmp(EvalParams(a - 1.0, p, x), tol).value
-    return A_prev1 * va + B_prev1 * va1
+    return A * va + B * va1
 
 
 # ---------------------------------------------------------------- identities
@@ -274,18 +264,18 @@ def sum_identity_check(m: int) -> bool:
         raise DomainError(f"m must be >= 1, got {m}")
     y = RatPoly.var(_PQ_VARS, "y")
     s = RatPoly.var(_PQ_VARS, "s")
-    _grow_P(m)
-    _grow_Q(m)
+    P = [build_P(j).poly for j in range(m + 1)]
     sum_P = RatPoly(_PQ_VARS)
     for j in range(m):
-        sum_P = sum_P + _P[j]
-    lhs_P = m * _P[m] - (s * sum_P - y * _P[m - 1])
+        sum_P = sum_P + P[j]
+    lhs_P = m * P[m] - (s * sum_P - y * P[m - 1])
     if not lhs_P.is_zero():
         return False
+    Q = [build_Q(j).poly for j in range(m + 1)]
     sum_Q = RatPoly(_PQ_VARS)
     for j in range(m):
-        sum_Q = sum_Q + _Q[j]
-    lhs_Q = (m + 1) * _Q[m] - (s * sum_Q - y * _Q[m - 1] + 1)
+        sum_Q = sum_Q + Q[j]
+    lhs_Q = (m + 1) * Q[m] - (s * sum_Q - y * Q[m - 1] + 1)
     return lhs_Q.is_zero()
 
 
@@ -342,24 +332,7 @@ def tildeP_roots(m: int, p: float) -> float | None:
         return None
     if m == 1:
         return 0.0
-    lo, hi = -(m - 1.0), 0.0
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(f"no sign change for tilde-P_{m} on [{lo}, {hi}]")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return bisect(f, -(m - 1.0), 0.0)
 
 
 def P_root_nonneg(m: int, p: float) -> float:

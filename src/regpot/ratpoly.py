@@ -141,6 +141,10 @@ class RatPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: Scalar) -> "RatPoly":
+        """Division by an exact nonzero scalar."""
+        return self * (1 / _as_fraction(other))
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")

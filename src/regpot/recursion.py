@@ -1,86 +1,35 @@
-"""Three-term recursion in m, averaged potentials, and the gamma identity.
+"""The three-term recursion in m and the averaged potentials.
 
 The recursion
 
     V_m = (1/m) [ (m - 1 + 1/p - x^p) V_(m-1) + x^p V_(m-2) ]
 
-is run upward from a fractional anchor in [-1, 1).  Upward chains are
-exact in the recursion but numerically ill-conditioned once x^p exceeds
-the chain length (the wanted solution becomes subdominant), so chains are
-validated against direct evaluation and a downward-seeded fallback is
-provided for the large-x regime.
+is run by `recur`, on floats and on exact polynomials alike: it drives
+`chain_values` here and grows the polynomial families in `polys` (P_m,
+Q_m = X_(m+1), and tilde-P_m with y = s - z).  Upward chains are exact in
+the recursion but numerically ill-conditioned once x^p exceeds the chain
+length (the wanted solution becomes subdominant), so chains are validated
+against direct evaluation and rerun downward in the large-x regime.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass
-
 from .core import DEFAULT_TOL, EvalParams, eval_vm0, eval_vmp
 from .errors import DomainError
 
-UNSTABLE_REL_TOL = 1e-6
 
+def recur(ns, s, y, prev2, prev1) -> list:
+    """[X_n for n in ns], with X_n = ((n - 1 + s - y) X_(n-1) + y X_(n-2)) / n.
 
-@dataclass(frozen=True)
-class RecursionSeed:
-    m0: float  # fractional anchor in [-1, 1)
-    v_m0: float
-    v_m0_minus_1: float
-    p: float
-    x: float
-
-
-def seed_at(m0: float, p: float, x: float, tol: float = DEFAULT_TOL) -> RecursionSeed:
-    """Build a consistent seed pair at anchor m0 from direct evaluation.
-
-    For m0 in (-1, 0) the value V_(m0 - 1) sits below the integral's domain;
-    it is defined there by one inverted recursion step from (V_m0, V_(m0+1)),
-    which is the unique continuation consistent with the chain.
+    `ns` are consecutive, and (prev2, prev1) are the two values before the
+    first.  With s = 1/p and y = x^p this is the recursion of V_m^p; the
+    arguments may be floats or exact `RatPoly`s.
     """
-    if not (-1.0 <= m0 < 1.0):
-        raise DomainError(f"anchor m0 must lie in [-1, 1), got {m0}")
-    if x <= 0:
-        raise DomainError(f"recursion seeds require x > 0, got {x}")
-    v0 = eval_vmp(EvalParams(m0, p, x), tol).value
-    if m0 == 0:
-        vm1 = x ** (1.0 - p)  # convention value
-    elif m0 > 0 or m0 == -1:
-        vm1 = eval_vmp(EvalParams(m0 - 1.0, p, x), tol).value
-    else:
-        xp = x ** p
-        v_up = eval_vmp(EvalParams(m0 + 1.0, p, x), tol).value
-        vm1 = ((m0 + 1.0) * v_up - (m0 + 1.0 / p - xp) * v0) / xp
-    return RecursionSeed(m0, v0, vm1, p, x)
-
-
-def recurse_up(seed: RecursionSeed, target_m: float) -> list[float]:
-    """Chain [V_m0, V_(m0+1), ..., V_target] by the upward recursion.
-
-    The final element is validated against direct evaluation; a chain that
-    drifted beyond 1e-6 relative triggers a WARN_UNSTABLE warning (expected
-    for large x, where the upward direction amplifies seed error).
-    """
-    steps = target_m - seed.m0
-    j = round(steps)
-    if j < 1 or abs(steps - j) > 1e-9:
-        raise DomainError(f"target_m - m0 must be a positive integer, got {steps}")
-    xp = seed.x ** seed.p
-    inv_p = 1.0 / seed.p
-    values = [seed.v_m0]
-    prev2, prev1 = seed.v_m0_minus_1, seed.v_m0
-    for i in range(1, j + 1):
-        m = seed.m0 + i
-        cur = ((m - 1.0 + inv_p - xp) * prev1 + xp * prev2) / m
-        values.append(cur)
-        prev2, prev1 = prev1, cur
-    ref = eval_vmp(EvalParams(target_m, seed.p, seed.x)).value
-    if abs(values[-1] - ref) > UNSTABLE_REL_TOL * abs(ref):
-        warnings.warn(
-            f"WARN_UNSTABLE: chain end V_{target_m}^p({seed.x}) off by "
-            f"{abs(values[-1] - ref) / abs(ref):.2e} relative", stacklevel=2)
-    return values
+    out = []
+    for n in ns:
+        prev2, prev1 = prev1, ((n - 1 + s - y) * prev1 + y * prev2) / n
+        out.append(prev1)
+    return out
 
 
 def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> list[float]:
@@ -99,12 +48,7 @@ def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> li
     inv_p = 1.0 / p
     v0 = eval_vmp(EvalParams(0.0, p, x), tol).value
 
-    up = [v0]
-    prev2, prev1 = x ** (1.0 - p), v0
-    for m in range(1, m_max + 1):
-        cur = ((m - 1.0 + inv_p - xp) * prev1 + xp * prev2) / m
-        up.append(cur)
-        prev2, prev1 = prev1, cur
+    up = [v0] + recur(range(1, m_max + 1), inv_p, xp, x ** (1.0 - p), v0)
     ref_top = eval_vmp(EvalParams(float(m_max), p, x), tol).value
     if abs(up[-1] - ref_top) <= 1e-9 * abs(ref_top):
         return up
@@ -112,56 +56,25 @@ def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> li
     # upward chain contaminated; run downward from directly evaluated seeds
     down = [0.0] * (m_max + 1)
     down[m_max] = ref_top
-    down[m_max - 1] = eval_vmp(EvalParams(float(m_max - 1), p, x), tol).value if m_max >= 1 else v0
+    down[m_max - 1] = eval_vmp(EvalParams(float(m_max - 1), p, x), tol).value
     for m in range(m_max, 1, -1):
         down[m - 2] = (m * down[m] - (m - 1.0 + inv_p - xp) * down[m - 1]) / xp
     return down
-
-
-def unrolled_value(chain: list[float], m: int, p: float, x: float) -> float:
-    """Single-shot unrolled recursion for integer m >= 1:
-
-        V_m = (1/(p m)) [ (1 - p x^p) V_(m-1) + sum_{k=0}^{m-2} V_k + p x^p V_(-1) ]
-
-    `chain` must contain [V_(-1), V_0, ..., V_(m-1)].
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if len(chain) < m + 1:
-        raise DomainError("chain too short: need V_(-1) through V_(m-1)")
-    xp = x ** p
-    v_minus1 = chain[0]
-    body = (1.0 - p * xp) * chain[m] + sum(chain[1:m]) + p * xp * v_minus1
-    return body / (p * m)
 
 
 def averaged_potential(N: int, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """V_av^(p,N)(x) = (1/N) sum_{m=0}^{N-1} V_m^p(x), via the closed form
 
         p V_N - (p x^p / N) [ V_(-1) - V_(N-1) ].
-
-    The direct sum is also computed and the two are required to agree within
-    their combined error estimates (a live consistency check).
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if x <= 0:
         raise DomainError(f"averaged potential requires x > 0, got {x}")
     xp = x ** p
-    r_n = eval_vmp(EvalParams(float(N), p, x), tol)
-    r_n1 = eval_vmp(EvalParams(float(N - 1), p, x), tol)
-    closed = p * r_n.value - (p * xp / N) * (x ** (1.0 - p) - r_n1.value)
-
-    results = [eval_vmp(EvalParams(float(m), p, x), tol) for m in range(N)]
-    direct = sum(r.value for r in results) / N
-    budget = (sum(r.abs_err_estimate for r in results) / N
-              + p * r_n.abs_err_estimate + (p * xp / N) * r_n1.abs_err_estimate
-              + 1e-9 * abs(direct))
-    if abs(closed - direct) > budget:
-        raise AssertionError(
-            f"averaged-potential closed form disagrees with direct sum: "
-            f"{closed!r} vs {direct!r} (budget {budget:.2e})")
-    return closed
+    v_n = eval_vmp(EvalParams(float(N), p, x), tol).value
+    v_n1 = eval_vmp(EvalParams(float(N - 1), p, x), tol).value
+    return p * v_n - (p * xp / N) * (x ** (1.0 - p) - v_n1)
 
 
 def averaged_at_zero(N: int, p: float) -> float:
@@ -169,29 +82,3 @@ def averaged_at_zero(N: int, p: float) -> float:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     return sum(eval_vm0(float(m), p).value for m in range(N)) / N
-
-
-def averaged_derivative_at_zero(N: int, p: float) -> float:
-    """One-sided slope of V_av^(p,N) at 0+, which equals -p/N."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    if p <= 1:
-        raise DomainError(f"cusp slope formula requires p > 1, got {p}")
-    return -p / N
-
-
-def averaged_cusp_fd(N: int, p: float, h: float = 1e-5) -> float:
-    """Finite-difference estimate of the cusp slope, for testing the limit."""
-    return (averaged_potential(N, p, h, tol=1e-12) - averaged_at_zero(N, p)) / h
-
-
-def gamma_identity_check(m: int, p: float) -> tuple[float, float]:
-    """Both sides of Gamma(m+1/p)/Gamma(m+1) = (1/(pm)) sum_{k<m} Gamma(k+1/p)/Gamma(k+1)."""
-    if m < 1 or not float(m).is_integer():
-        raise DomainError(f"m must be a positive integer, got {m}")
-    if p <= 0:
-        raise DomainError(f"p must be positive, got {p}")
-    lhs = math.exp(math.lgamma(m + 1.0 / p) - math.lgamma(m + 1.0))
-    rhs = sum(math.exp(math.lgamma(k + 1.0 / p) - math.lgamma(k + 1.0))
-              for k in range(m)) / (p * m)
-    return lhs, rhs

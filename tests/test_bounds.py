@@ -39,7 +39,7 @@ def test_G_derivatives_match_finite_difference():
     h = 1e-6
     for (k, m, y) in [(4.0, 1.0, 0.5), (8.0, 3.0, 2.0)]:
         fd = (bounds.G_k_m(k, m, y + h) - bounds.G_k_m(k, m, y - h)) / (2 * h)
-        assert bounds.G_k_m_deriv(k, m, y) == pytest.approx(fd, rel=1e-6)
+        assert bounds.G_k_m_p_deriv(k, m, 2.0, y) == pytest.approx(fd, rel=1e-6)
     for (k, m, p, y) in [(4.0, 1.0, 3.0, 0.5), (4.0, 2.0, 5.0, 2.0)]:
         fd = (bounds.G_k_m_p(k, m, p, y + h) - bounds.G_k_m_p(k, m, p, y - h)) / (2 * h)
         assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(fd, rel=1e-6)

@@ -45,10 +45,8 @@ def test_ring_axioms(e1, e2, e3):
 
 @given(elements())
 @settings(max_examples=100, deadline=None)
-def test_conjugate_norm(e):
-    prod = e * e.conj()
-    assert prod.b.is_zero()
-    assert prod.a == e.norm()
+def test_norm_multiplicative(e):
+    assert (e * e).norm() == e.norm() ** 2
 
 
 @given(elements())

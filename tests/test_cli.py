@@ -6,7 +6,8 @@ import math
 import pytest
 
 from regpot import cli
-from regpot.core import EvalParams, eval_vmp
+from regpot.core import DEFAULT_TOL, EvalParams, eval_vmp
+from test_recursion import averaged_direct_and_budget
 
 
 def run(capsys, argv):
@@ -82,6 +83,15 @@ def test_table_deterministic(capsys):
     _, a = run(capsys, ["table", "--m", "2", "--p", "2", "--grid", "0.1,10,5,geometric"])
     _, b = run(capsys, ["table", "--m", "2", "--p", "2", "--grid", "0.1,10,5,geometric"])
     assert a == b
+
+
+def test_table_vav_matches_direct_mean(capsys):
+    code, out = run(capsys, ["table", "--m", "2", "--p", "3", "--grid", "0.01,50,12,geometric",
+                             "--with-vav", "5", "--format", "json"])
+    assert code == 0
+    for row in json.loads(out):
+        direct, budget = averaged_direct_and_budget(5, 3.0, float(row["x"]), DEFAULT_TOL)
+        assert abs(float(row["v_av"]) - direct) <= budget
 
 
 def test_bad_grid_spec_is_domain_error(capsys):

@@ -108,14 +108,15 @@ def test_horner_coefficients_equal_bivariate_eval():
 
 
 def test_anchor_matches_integral_representation():
-    # V_0^p(x) = int_0^inf e^(-u) (x^p + u)^((1-p)/p) du
-    for p in (0.5, 1.5, 2.5, 3.0):
+    # V_0 = int_0^inf e^(-u) (y + u)^(s-1) du, with y = x^p and s = 1/p
+    for p in (0.5, 1.5, 2.0, 2.5, 3.0):
         for x in (0.3, 2.9, 6.1):
-            got = polys._anchor_v0_hp(p, x, 40)
+            y, s = polys._exact_y_s(p, x)
+            got = polys._anchor_v0_hp(y, s, 40)
             with mpmath.workdps(40):
-                xp = mpmath.mpf(x) ** p
-                expo = (1 - mpmath.mpf(p)) / p
-                want = mpmath.quad(lambda u: mpmath.exp(-u) * (xp + u) ** expo,
+                yv = mpmath.mpf(y.numerator) / y.denominator
+                expo = mpmath.mpf(s.numerator) / s.denominator - 1
+                want = mpmath.quad(lambda u: mpmath.exp(-u) * (yv + u) ** expo,
                                    [0, 1, 10, 50, mpmath.inf])
                 assert abs(got - want) <= mpmath.mpf("1e-35") * want
 
@@ -152,6 +153,16 @@ def test_anchor_precision_follows_anchor_error(m, p, x):
     # cond ~ 1e2 here: the float anchor's ~1e-10 error used to reach 1.2e-8
     got = eval_via_polynomials(float(m), p, x)
     assert rel(got, _mp_vmp(m, p, x)) < 1e-10
+
+
+@pytest.mark.parametrize("m, p, x", [(14, 2.5, 3.548), (20, 2.5, 10.0), (20, 1.5, 30.0),
+                                     (3, 2.5, 1e40), (20, 3.0, 1e10), (20, 2.0, 1e16),
+                                     (5, 2.0, 1e80)])
+def test_cancelling_combination_at_non_integer_p_and_huge_y(m, p, x):
+    # the combination cancels here: at non-integer p every part of it
+    # must be taken at the doubles y = x^p and s = 1/p themselves, and at
+    # huge y the condition estimate must stay out of the float range
+    assert rel(eval_via_polynomials(float(m), p, x), _mp_vmp(m, p, x)) < 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

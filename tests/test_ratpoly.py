@@ -33,6 +33,7 @@ def test_ring_laws(a, b, c):
     assert a + RatPoly(VARS) == a
     assert a * RatPoly.constant(VARS, 1) == a
     assert a - a == RatPoly(VARS)
+    assert (a * 3) / 3 == a and a / Fraction(2, 5) == a * Fraction(5, 2)
 
 
 @given(ratpolys(), ratpolys())
