@@ -6,8 +6,8 @@ from .core import (DEFAULT_TOL, EvalParams, EvalResult, eval_asymptotic,
                    eval_closed_form_inv_p, eval_fourier_transform, eval_vm0,
                    eval_vmp, vmp)
 from .errors import (AsymptoticRegimeError, BracketError, ChainMismatchError,
-                     ConvergenceError, DomainError, GammaPoleError,
-                     RegpotError, SeriesBudgetError)
+                     ConvergenceError, DomainError, RegpotError,
+                     SeriesBudgetError)
 from .ratpoly import RatPoly
 
 __version__ = "1.0.0"
@@ -17,6 +17,6 @@ __all__ = [
     "eval_asymptotic", "eval_closed_form_inv_p", "eval_fourier_transform",
     "eval_vm0", "eval_vmp", "vmp",
     "RegpotError", "DomainError", "ConvergenceError", "AsymptoticRegimeError",
-    "GammaPoleError", "SeriesBudgetError", "BracketError", "ChainMismatchError",
+    "SeriesBudgetError", "BracketError", "ChainMismatchError",
     "__version__",
 ]

@@ -1,14 +1,15 @@
-"""Evaluation of the regularized potential V_m^p(x).
+"""Evaluation of the regularized potential V_m^p(x) and its Fourier transform.
 
-The workhorse is an adaptive Gauss-Legendre quadrature on the integral
-representation
+The workhorse is one adaptive Gauss-Legendre quadrature kernel, `_quad_vmp`,
+for the Tricomi-U integral (DLMF 13.4.4)
 
-    V_m^p(x) = (1/Gamma(m+1)) * int_0^inf u^m e^(-u) (x^p + u)^(-(p-1)/p) du
+    K(m, c, z) = (1/Gamma(m+1)) * int_0^inf u^m e^(-u) (z + u)^c du,
 
 with an analytic bound on the truncated tail, so every result carries a
-defensible absolute-error estimate.  Closed forms (p = 1, x = 0, 1/p a
-positive integer) and the large-x asymptotic series are dispatched to
-automatically when they are cheaper and at least as accurate.
+defensible absolute-error estimate.  V_m^p(x) = K(m, (1-p)/p, x^p), and the
+p = 2 Fourier transform is Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4).
+Closed forms (p = 1, x = 0, 1/p a positive integer) and the large-x
+asymptotic series are dispatched to when cheaper and at least as accurate.
 """
 
 from __future__ import annotations
@@ -72,13 +73,31 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _gamma_m1(m: float) -> float:
-    """Gamma(m + 1) as a double, the normalization of both quadratures."""
+def _x_pow(x: float, p: float) -> float:
+    """x ** p, or inf where it overflows a double."""
     try:
-        return math.exp(math.lgamma(m + 1.0))
+        return x ** p
     except OverflowError:
-        raise ConvergenceError(f"Gamma(m + 1) overflows a double at m = {m}; "
-                               "the quadrature is limited to m below about 171") from None
+        return math.inf
+
+
+def gamma_ratio(a: float, *bs: float) -> tuple[float, float]:
+    """Gamma(a) / (Gamma(b_1) Gamma(b_2) ...) for positive arguments, and a
+    bound on its absolute error.  Each lgamma is good to about an ulp of its
+    magnitude, and exp(lgamma(a) - lgamma(b_1) - ...) makes that a relative
+    error: eps times the sum of |lgamma|, 3e-12 at a ~ 1e4, 1e-7 at 1e8."""
+    lg = math.lgamma(a)
+    lg_abs = abs(lg)
+    for b in bs:
+        lb = math.lgamma(b)
+        lg -= lb
+        lg_abs += abs(lb)
+    try:
+        value = math.exp(lg)
+    except OverflowError:
+        ratio = " / ".join(f"Gamma({v})" for v in (a, *bs))
+        raise ConvergenceError(f"{ratio} overflows a double") from None
+    return value, _EPS * (10.0 + 2.0 * lg_abs) * value
 
 
 # ---------------------------------------------------------------- quadrature
@@ -99,7 +118,9 @@ def _panel(f, lo: float, hi: float, n: int) -> float:
 
 
 def _adaptive(f, a: float, b: float, tol_abs: float) -> tuple[float, float]:
-    """Adaptive composite Gauss-Legendre; error from a 15- vs 7-node comparison."""
+    """Adaptive composite Gauss-Legendre; error from a 15- vs 7-node comparison,
+    plus the rounding of summing the panels and their nodes, for an integrand
+    of one sign."""
     total, err = 0.0, 0.0
     stack = [(a, b)]
     panels = 0
@@ -118,86 +139,84 @@ def _adaptive(f, a: float, b: float, tol_abs: float) -> tuple[float, float]:
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid))
             stack.append((mid, hi))
-    return total, err
+    return total, err + (panels + 15) * _EPS * abs(total)
 
 
 def _gamma_tail_bound(a: float, U: float) -> float:
-    """Upper bound on int_U^inf u^a e^(-u) du, for U >= max(1, a)."""
-    if a <= 0:
-        return U ** a * math.exp(-U)
-    n = math.ceil(a)
-    # Gamma(n+1, U) = n! e^(-U) sum_{j<=n} U^j/j!, and u^a <= u^n U^(a-n) on [U, inf)
-    tot, term = 0.0, 1.0
-    for j in range(n):
-        term *= U / (j + 1)
+    """Upper bound on int_U^inf u^a e^(-u) du, for U >= 1."""
+    # u^a <= u^n U^(a-n) on [U, inf) with n = max(ceil(a), 0), and
+    # Gamma(n+1, U) = sum_{j<=n} (n!/j!) U^j e^(-U), summed from j = n down;
+    # inf, a valid if useless bound, where U^a e^(-U) overflows a double
+    term = tot = _x_pow(math.e, a * math.log(U) - U)
+    for j in range(math.ceil(a), 0, -1):
+        term *= j / U
         tot += term
-    return math.factorial(n) * math.exp(-U) * (1.0 + tot) * U ** (a - n)
-
-
-def _vmp_tail_bound(m: float, p: float, xp: float, U: float) -> float:
-    expo = -(p - 1.0) / p
-    if p >= 1:
-        # algebraic factor is nonincreasing, take its value at U
-        return (xp + U) ** expo * _gamma_tail_bound(m, U)
-    # p < 1: factor grows like u^(ceil((1-p)/p)); expand binomially
-    n = math.ceil((1.0 - p) / p)
-    tot = 0.0
-    for i in range(n + 1):
-        tot += math.comb(n, i) * xp ** i * _gamma_tail_bound(m + n - i, U)
     return tot
 
 
-def _quad_vmp(m: float, p: float, x: float, tol: float) -> tuple[float, float]:
-    """Unnormalized-then-normalized quadrature for V_m^p(x), x > 0."""
-    xp = x ** p
-    expo = -(p - 1.0) / p
-    gamma_m1 = _gamma_m1(m)
-    v_guess = (xp + abs(m) + 1.0) ** ((1.0 - p) / p)
-    if m + 1.0 / p < 0:
-        # below the x = 0 existence threshold the value diverges like
-        # x^(p m + 1) as x -> 0; anchor the tolerance to that scale
-        v_guess = max(v_guess, xp ** (m + 1.0 / p))
-    target_abs = max(tol * v_guess, 1e-16 * v_guess) * gamma_m1
+def _vmp_tail_bound(m: float, c: float, z: float, U: float) -> float:
+    """Upper bound on int_U^inf u^m e^(-u) (z+u)^c du, for U >= 1."""
+    if c <= 0:
+        # algebraic factor is nonincreasing, take its value at U
+        return (z + U) ** c * _gamma_tail_bound(m, U)
+    # c > 0: (z+u)^c <= (z+u)^n with n = ceil(c); expand binomially
+    n = math.ceil(c)
+    return sum(math.comb(n, i) * z ** i * _gamma_tail_bound(m + n - i, U)
+               for i in range(n + 1))
+
+
+def _quad_vmp(m: float, c: float, z: float, tol: float) -> tuple[float, float]:
+    """(K(m, c, z), absolute-error estimate) for z > 0; K as in the module
+    docstring."""
+    gamma_m1, gamma_err = gamma_ratio(m + 1.0)  # raises from m ~ 171
+    # The tolerance scales with a lower bound on K: Jensen's (z+|m|+1)^c and,
+    # for c <= 0, K over [0, q] with (z+u)^c and e^(-u) taken at q, largest at
+    # the positive root q of q^2 - (m+1+c-z) q - (m+1) z = 0; that one follows
+    # K's growth like z^(m+1+c) as z -> 0 below the threshold m + 1 + c = 0.
+    scale = (z + abs(m) + 1.0) ** c
+    if c <= 0:
+        b = m + 1.0 + c - z
+        d = math.hypot(b, 2.0 * math.sqrt((m + 1.0) * z))
+        q = 0.5 * (b + d) if b >= 0 else 2.0 * (m + 1.0) * z / (d - b)
+        if q > 0:
+            scale = max(scale, math.exp(c * math.log(z + q) - q + (m + 1.0) * math.log(q)
+                                        - math.lgamma(m + 2.0)))
+    target_abs = max(tol, 1e-16) * scale * gamma_m1
 
     U = max(2.0 * abs(m) + 2.0, 10.0)
-    while _vmp_tail_bound(m, p, xp, U) > 0.25 * target_abs:
+    while (tail := _vmp_tail_bound(m, c, z, U)) > 0.25 * target_abs:
         U *= 1.3
         if U > 700.0:
             raise ConvergenceError("tail bound not satisfiable before exp underflow")
-    tail = _vmp_tail_bound(m, p, xp, U)
 
     # Head [0, 1] under u = t^gamma: the transformed integrand behaves like
-    # t^(gamma(m+1)-1) while t^gamma << xp and t^(gamma(m+1-alpha)-1) beyond,
-    # with alpha = (p-1)/p; gamma is chosen so both exponents are >= 2, which
-    # tames the u^m weight and the small-x algebraic near-singularity at once.
-    # When m + 1 - alpha <= 0 the second exponent cannot be made positive
-    # (the integrand has an interior peak near t = xp^(1/gamma) instead of a
-    # boundary singularity); flattening the u^m weight alone suffices there.
-    u0 = min(1.0, U)
-    alpha = max(-expo, 0.0)
-    denom = m + 1.0 - alpha
-    gamma = max(3.0 / (m + 1.0), 3.0 / denom if denom > 0.025 else 0.0)
-    if denom < 0.5 and 0.0 < xp < 1.0:
-        # near (or below) the existence threshold m = -1/p the mass spreads
-        # over log(1/xp) decades; stretch the map so they fit in O(1) t-range
-        gamma = max(gamma, math.log(1.0 / xp))
-    gamma = min(max(gamma, 1.0), 120.0)
+    # t^(gamma(m+1)-1) while t^gamma << z and t^(gamma(m+1+min(c, 0))-1)
+    # beyond; gamma makes both exponents >= 2, which tames the u^m weight and
+    # the small-z near-singularity at once.  When m + 1 + c <= 0 the second
+    # cannot be positive (the integrand peaks near t = z^(1/gamma) instead),
+    # and flattening the u^m weight alone suffices.
+    if m + 1.0 < 0.025:
+        # u^m is nearly 1/u: u = t^(1/(m+1)) makes the weight exactly flat
+        gamma = 1.0 / (m + 1.0)
+    else:
+        denom = m + 1.0 + min(c, 0.0)
+        gamma = max(3.0 / (m + 1.0), 3.0 / denom if denom > 0.025 else 0.0)
+        if denom < 0.5 and 0.0 < z < 1.0:
+            # near (or below) the threshold the mass spreads over log(1/z)
+            # decades; stretch the map so they fit in O(1) t-range
+            gamma = max(gamma, math.log(1.0 / z))
+        gamma = min(max(gamma, 1.0), 120.0)
 
-    def f_head(t):
-        base = np.where(t > 0, t, 1.0)
-        u = np.where(t > 0, base ** gamma, 0.0)
-        um = np.where(t > 0, base ** (gamma * (m + 1.0) - 1.0), 0.0)
-        return gamma * um * np.exp(-u) * (xp + u) ** expo
+    def f_head(t):  # Gauss-Legendre nodes are interior, so t > 0
+        u = t ** gamma
+        return gamma * t ** (gamma * (m + 1.0) - 1.0) * np.exp(-u) * (z + u) ** c
 
-    val, perr = _adaptive(f_head, 0.0, u0 ** (1.0 / gamma), 0.25 * target_abs)
-    if U > u0:
-        v2, e2 = _adaptive(lambda u: u ** m * np.exp(-u) * (xp + u) ** expo,
-                           u0, U, 0.25 * target_abs)
-        val += v2
-        perr += e2
-
-    value = val / gamma_m1
-    abs_err = (perr + tail) / gamma_m1 + _ulp_slack(value)
+    val, perr = _adaptive(f_head, 0.0, 1.0, 0.25 * target_abs)
+    # log form: u^m alone overflows a double from u ~ 110 at m = 150
+    v2, e2 = _adaptive(lambda u: np.exp(m * np.log(u) - u) * (z + u) ** c,
+                       1.0, U, 0.25 * target_abs)
+    value = (val + v2) / gamma_m1
+    abs_err = (perr + e2 + tail + value * gamma_err) / gamma_m1 + _ulp_slack(value)
     return value, abs_err
 
 
@@ -209,8 +228,8 @@ def eval_vm0(m: float, p: float) -> EvalResult:
         raise DomainError(f"p must be positive, got {p}")
     if m <= -1.0 / p:
         raise DomainError(f"V_m^p(0) requires m > -1/p, got m={m}, p={p}")
-    value = math.exp(math.lgamma(m + 1.0 / p) - math.lgamma(m + 1.0))
-    return EvalResult(value, _ulp_slack(value), "closed_form_inv_p")
+    value, abs_err = gamma_ratio(m + 1.0 / p, m + 1.0)
+    return EvalResult(value, abs_err, "closed_form_inv_p")
 
 
 def eval_closed_form_inv_p(m: float, n: int, x: float) -> float:
@@ -222,12 +241,12 @@ def eval_closed_form_inv_p(m: float, n: int, x: float) -> float:
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     t = x ** (1.0 / n)
-    lg = math.lgamma(m + 1.0)
-    coeffs = [math.comb(n - 1, k) * math.exp(math.lgamma(m + n - k) - lg)
-              for k in range(n)]
+    coeffs = [math.comb(n - 1, k) * gamma_ratio(m + n - k, m + 1.0)[0] for k in range(n)]
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + c
+    if math.isinf(acc):
+        raise ConvergenceError(f"V_m^(1/{n})(x) overflows a double at m = {m}, x = {x}")
     return acc
 
 
@@ -294,15 +313,19 @@ def eval_vmp(params: EvalParams, tol: float = DEFAULT_TOL) -> EvalResult:
     n = _inv_p_integer(p)
     if n is not None:
         value = eval_closed_form_inv_p(m, n, x)
-        return EvalResult(value, _ulp_slack(value) * n, "closed_form_inv_p")
-    if p > 1 and x ** p > 2.0 * (m + 2.0):
+        # no coefficient's gamma ratio errs by more than the leading one's
+        lead, lead_err = gamma_ratio(m + n, m + 1.0)
+        return EvalResult(value, value * lead_err / lead + _ulp_slack(value) * n,
+                          "closed_form_inv_p")
+    z = _x_pow(x, p)  # inf only at p > 1, where the series then gives x^(1-p)
+    if p > 1 and z > 2.0 * (m + 2.0):
         try:
             res = eval_asymptotic(params)
             if res.abs_err_estimate <= tol * abs(res.value):
                 return res
         except AsymptoticRegimeError:
             pass
-    value, abs_err = _quad_vmp(m, p, x, tol)
+    value, abs_err = _quad_vmp(m, (1.0 - p) / p, z, tol)
     return EvalResult(value, abs_err, "quadrature")
 
 
@@ -316,10 +339,13 @@ def vmp(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
 def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Fourier transform of V_m (p = 2 only):
 
-        (4^(m+1)/sqrt(2 pi)) * int_0^inf s^m e^(-s) (xi^2 + 4s)^(-(m+1)) ds.
+        F_m(xi) = (4^(m+1)/sqrt(2 pi)) int_0^inf s^m e^(-s) (xi^2 + 4s)^(-(m+1)) ds
+                = Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4)
+                = Gamma(m+1) U(m+1, 1, xi^2/4) / sqrt(2 pi),
 
-    The integrand behaves like s^(-1) near 0 when xi = 0, for every m, so
-    xi = 0 is always rejected.
+    since 4^(m+1) (xi^2 + 4s)^(-(m+1)) = (xi^2/4 + s)^(-(m+1)); K is the
+    quadrature kernel that also gives V_m^p.  The integrand behaves like
+    s^(-1) near 0 when xi = 0, for every m, so xi = 0 is always rejected.
     """
     _check_finite(m=m, xi=xi)
     if m <= -1:
@@ -327,45 +353,6 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     if xi == 0:
         raise DomainError("the transform integral diverges at xi = 0")
     _check_tol(tol)
-    xi2 = xi * xi
-    gamma_m1 = _gamma_m1(m)  # raises before 4^(m+1) can overflow
-    front = 4.0 ** (m + 1.0) / math.sqrt(2.0 * math.pi)
-    guess = front * gamma_m1 * (xi2 + 4.0) ** (-(m + 1.0))
-    target_abs = max(tol * max(abs(guess), 1e-300), 1e-300)
-
-    def phi_at(s: float) -> float:
-        return (xi2 + 4.0 * s) ** (-(m + 1.0))
-
-    U = max(2.0 * abs(m) + 2.0, 10.0)
-    while phi_at(U) * _gamma_tail_bound(m, U) * front > 0.25 * target_abs:
-        U *= 1.3
-        if U > 700.0:
-            raise ConvergenceError("tail bound not satisfiable before exp underflow")
-    tail = phi_at(U) * _gamma_tail_bound(m, U)
-
-    if m > 0:
-        c = 2.0 * m + 1.0
-
-        def f(v):
-            s = v * v
-            base = np.where(v > 0, v, 1.0)
-            t = np.where(v > 0, base ** c, 0.0)
-            return 2.0 * t * np.exp(-s) * (xi2 + 4.0 * s) ** (-(m + 1.0))
-
-        val, perr = _adaptive(f, 0.0, math.sqrt(U), 0.5 * target_abs / front)
-    elif m == 0:
-        val, perr = _adaptive(lambda s: np.exp(-s) / (xi2 + 4.0 * s), 0.0, U, 0.5 * target_abs / front)
-    else:
-        c = m + 1.0
-
-        def f(w):
-            base = np.where(w > 0, w, 1.0)
-            s = base ** (1.0 / c)
-            s = np.where(w > 0, s, 0.0)
-            return np.exp(-s) * (xi2 + 4.0 * s) ** (-(m + 1.0)) / c
-
-        val, perr = _adaptive(f, 0.0, U ** c, 0.5 * target_abs / front)
-
-    value = front * val
-    abs_err = front * (perr + tail) + _ulp_slack(value)
-    return EvalResult(value, abs_err, "quadrature")
+    front = gamma_ratio(m + 1.0)[0] / math.sqrt(2.0 * math.pi)
+    k, k_err = _quad_vmp(m, -(m + 1.0), 0.25 * xi * xi, tol)
+    return EvalResult(front * k, front * k_err, "quadrature")

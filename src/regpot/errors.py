@@ -10,16 +10,13 @@ class DomainError(RegpotError, ValueError):
 
 
 class ConvergenceError(RegpotError):
-    """Quadrature budget exhausted before the requested tolerance was met."""
+    """No double-precision value to the requested tolerance: the quadrature
+    budget ran out, or the value or an intermediate overflows a double."""
 
 
 class AsymptoticRegimeError(RegpotError):
     """Asymptotic series requested where it cannot help (first correction
     already exceeds the leading term)."""
-
-
-class GammaPoleError(RegpotError):
-    """A gamma-function argument hit a nonpositive integer."""
 
 
 class SeriesBudgetError(RegpotError):

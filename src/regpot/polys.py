@@ -25,8 +25,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bounds import bisect
-from .core import DEFAULT_TOL, EvalParams, eval_vmp
-from .errors import BracketError, DomainError, GammaPoleError, SeriesBudgetError
+from .core import _EPS, DEFAULT_TOL, EvalParams, _x_pow, eval_vmp, gamma_ratio
+from .errors import BracketError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
 
@@ -99,11 +99,7 @@ def explicit_P_coeffs(m: int, p: float) -> list[float]:
     s = 1.0 / p
     out = []
     for k in range(m + 1):
-        a = m + s - k
-        if a <= 0 and abs(a - round(a)) < 1e-12:
-            raise GammaPoleError(f"Gamma pole at m + 1/p - k = {a}")
-        val = math.exp(math.lgamma(a) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-                       - math.lgamma(s))
+        val = gamma_ratio(m + s - k, k + 1, m - k + 1, s)[0]
         out.append(val if k % 2 == 0 else -val)
     return out
 
@@ -180,13 +176,19 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
     a rounding error that the condition number amplifies.
 
     Non-integer m: the anchor pair (V_a, V_(a-1)) at a = m - floor(m) is
-    combined with numeric coefficient chains following the same recursion.
+    combined with numeric coefficient chains following the same recursion
+    upward.  Where that combination cancels beyond tol, or x^p overflows a
+    double, V_m is evaluated directly.
     """
     if m < 1:
         raise DomainError(f"polynomial representation requires m >= 1, got {m}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     EvalParams(m, p, x)  # rejects non-finite m, p, x
+    xp = _x_pow(x, p)
+    if math.isinf(xp):
+        # V_m = x^(1-p) to double precision, from the asymptotic series
+        return eval_vmp(EvalParams(m, p, x), tol).value
     if float(m).is_integer():
         mi = int(m)
         yv, s = _exact_y_s(p, x)
@@ -212,12 +214,19 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
     # recursion from (1, 0) at a and (0, 1) at a - 1
     a = m - math.floor(m)
     ns = [a + i for i in range(1, int(math.floor(m)) + 1)]
-    xp, inv_p = x ** p, 1.0 / p
-    A = recur(ns, inv_p, xp, 0.0, 1.0)[-1]
-    B = recur(ns, inv_p, xp, 1.0, 0.0)[-1]
-    va = eval_vmp(EvalParams(a, p, x), tol).value
-    va1 = eval_vmp(EvalParams(a - 1.0, p, x), tol).value
-    return A * va + B * va1
+    A = recur(ns, 1.0 / p, xp, 0.0, 1.0)[-1]
+    B = recur(ns, 1.0 / p, xp, 1.0, 0.0)[-1]
+    ra = eval_vmp(EvalParams(a, p, x), tol)
+    rb = eval_vmp(EvalParams(a - 1.0, p, x), tol)
+    value = A * ra.value + B * rb.value
+    # Upward, the wanted solution turns subdominant once x^p passes about m,
+    # and A V_a + B V_(a-1) cancels; where the anchors' errors, so
+    # amplified, exceed tol, V_m is evaluated directly.
+    err = (abs(A) * ra.abs_err_estimate + abs(B) * rb.abs_err_estimate
+           + len(ns) * _EPS * (abs(A * ra.value) + abs(B * rb.value)))
+    if err <= tol * abs(value):
+        return value
+    return eval_vmp(EvalParams(m, p, x), tol).value
 
 
 # ---------------------------------------------------------------- identities
@@ -304,7 +313,7 @@ def hypergeometric_check(m: int, p: float, y: float,
             break
     else:
         raise SeriesBudgetError(f"1F1 series did not converge in {budget} terms")
-    inv_beta = math.exp(math.lgamma(m + s) - math.lgamma(m) - math.lgamma(s))
+    inv_beta = gamma_ratio(m + s, m, s)[0]
     rhs = inv_beta / m * math.exp(-y) * total
     return lhs, rhs
 

@@ -14,7 +14,7 @@ against direct evaluation and rerun downward in the large-x regime.
 
 from __future__ import annotations
 
-from .core import DEFAULT_TOL, EvalParams, eval_vm0, eval_vmp
+from .core import _EPS, DEFAULT_TOL, EvalParams, _x_pow, eval_vm0, eval_vmp
 from .errors import DomainError
 
 
@@ -44,7 +44,7 @@ def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> li
         raise DomainError(f"m_max must be >= 1, got {m_max}")
     if x <= 0:
         raise DomainError(f"chain requires x > 0, got {x}")
-    xp = x ** p
+    xp = _x_pow(x, p)
     inv_p = 1.0 / p
     v0 = eval_vmp(EvalParams(0.0, p, x), tol).value
 
@@ -58,7 +58,8 @@ def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> li
     down[m_max] = ref_top
     down[m_max - 1] = eval_vmp(EvalParams(float(m_max - 1), p, x), tol).value
     for m in range(m_max, 1, -1):
-        down[m - 2] = (m * down[m] - (m - 1.0 + inv_p - xp) * down[m - 1]) / xp
+        # the same step with x^p divided out, so it also holds where x^p overflows
+        down[m - 2] = down[m - 1] + (m * down[m] - (m - 1.0 + inv_p) * down[m - 1]) / xp
     return down
 
 
@@ -66,12 +67,17 @@ def averaged_potential(N: int, p: float, x: float, tol: float = DEFAULT_TOL) -> 
     """V_av^(p,N)(x) = (1/N) sum_{m=0}^{N-1} V_m^p(x), via the closed form
 
         p V_N - (p x^p / N) [ V_(-1) - V_(N-1) ].
+
+    The bracket cancels as x^p grows: where its rounding alone, amplified by
+    p x^p / N, would pass tol, the mean is summed directly.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if x <= 0:
         raise DomainError(f"averaged potential requires x > 0, got {x}")
-    xp = x ** p
+    xp = _x_pow(x, p)
+    if p * xp * _EPS > N * tol:
+        return sum(eval_vmp(EvalParams(float(m), p, x), tol).value for m in range(N)) / N
     v_n = eval_vmp(EvalParams(float(N), p, x), tol).value
     v_n1 = eval_vmp(EvalParams(float(N - 1), p, x), tol).value
     return p * v_n - (p * xp / N) * (x ** (1.0 - p) - v_n1)

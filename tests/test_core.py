@@ -7,9 +7,10 @@ import mpmath
 import pytest
 
 from oracles import simpson_fourier, simpson_vmp, vm0_oracle
+from regpot import bounds, polys, recursion
 from regpot.core import (EvalParams, eval_asymptotic, eval_closed_form_inv_p,
                          eval_fourier_transform, eval_vm0, eval_vmp, vmp)
-from regpot.errors import AsymptoticRegimeError, ConvergenceError, DomainError
+from regpot.errors import AsymptoticRegimeError, ConvergenceError, DomainError, RegpotError
 
 
 def rel(a, b):
@@ -73,6 +74,21 @@ def test_small_x_continuity_to_origin_value():
             v = eval_vmp(EvalParams(m, p, x), 1e-12).value
             rate = (x ** p) ** min(m + 1.0 / p, 1.0)
             assert rel(v, vm0_oracle(m, p)) < 4.0 * rate + 1e-9
+
+
+@pytest.mark.parametrize("m", [1e2, 1e4, 1e6, 1e8])
+def test_gamma_ratio_estimates_cover_lgamma_cancellation(m):
+    # exp(lgamma(a) - lgamma(b)) loses digits as lgamma grows: 3e-12 at
+    # m = 1e4, 1.3e-7 at 1e8; the estimates must say so.  p = 1/2 also takes
+    # the closed form V = (m + 1) + sqrt(x) at x > 0.
+    for p in (0.5, 2.0, 3.0):
+        res = eval_vm0(m, p)
+        with mpmath.workdps(30):
+            want = mpmath.gamma(mpmath.mpf(m) + 1 / mpmath.mpf(p)) / mpmath.gamma(mpmath.mpf(m) + 1)
+        assert abs(res.value - want) <= res.abs_err_estimate
+    res = eval_vmp(EvalParams(m, 0.5, 2.0))
+    assert res.method == "closed_form_inv_p"
+    assert abs(res.value - (mpmath.mpf(m) + 1 + mpmath.sqrt(2))) <= res.abs_err_estimate
 
 
 def test_hard_corner_small_x_large_p():
@@ -173,6 +189,37 @@ def test_large_m_asymptotic_dispatch_still_answers():
         assert abs(res.value - want) <= res.abs_err_estimate
 
 
+@pytest.mark.parametrize("m", [130.0, 150.0, 170.0])
+@pytest.mark.parametrize("x", [0.01, 1.0])
+def test_large_m_quadrature_matches_tricomi_u(m, x):
+    # u^m overflowed a double in the tail piece from m ~ 130 at p = 2.
+    # Reference: V_m^2(x) = x^(2m+1) U(m+1, m+3/2, x^2) at 30 digits
+    res = eval_vmp(EvalParams(m, 2.0, x))
+    assert res.method == "quadrature"
+    with mpmath.workdps(30):
+        want = float(mpmath.mpf(x) ** (2 * m + 1) * mpmath.hyperu(m + 1, m + 1.5, mpmath.mpf(x) ** 2))
+    assert rel(res.value, want) < 1e-9
+    assert abs(res.value - want) <= res.abs_err_estimate
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: vmp(1.0, 2.0, 1e300), 1e-300),
+    (lambda: vmp(1.0, 1e-3, 2.0), None),  # V is past 1000! here
+    (lambda: polys.eval_via_polynomials(3.0, 2.5, 1e200), 1e-300),
+    (lambda: recursion.chain_values(20, 2.0, 1e200)[-1], 1e-200),
+    (lambda: recursion.averaged_potential(7, 3.0, 1e120), 1e-240),
+    (lambda: bounds.ratio(5.0, 2.0, 1e200), 1.0),
+], ids=["vmp", "vmp_tiny_p", "eval_via_polynomials", "chain_values", "averaged_potential",
+        "ratio"])
+def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want):
+    # V = x^(1-p) to double precision once x^p overflows a double
+    if want is None:
+        with pytest.raises(RegpotError, match="overflows"):
+            call()
+    else:
+        assert rel(call(), want) < 1e-14
+
+
 def test_vmp_wrapper_bit_for_bit():
     assert vmp(2.0, 2.0, 1.5) == eval_vmp(EvalParams(2.0, 2.0, 1.5)).value
 
@@ -190,3 +237,22 @@ def test_fourier_rejects_zero_frequency():
     for m in (0.0, 5.0):
         with pytest.raises(DomainError):
             eval_fourier_transform(m, 0.0)
+
+
+def _fourier_ref(m, xi):
+    """Gamma(m+1) U(m+1, 1, xi^2/4) / sqrt(2 pi) at 30 digits."""
+    with mpmath.workdps(30):
+        m, xi = mpmath.mpf(m), mpmath.mpf(xi)
+        return float(mpmath.gamma(m + 1) * mpmath.hyperu(m + 1, 1, xi * xi / 4)
+                     / mpmath.sqrt(2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("m", [-0.999, -0.5, 0.0, 0.5, 2.0, 6.0, 10.0, 15.0, 20.0])
+def test_fourier_transform_matches_tricomi_u(m):
+    # the transform once took a tolerance scale up to 1e18 above the value
+    # (off by up to 0.43 at m = 15, 20) and failed to converge at xi = 1e-4
+    for xi in (1e-4, 0.01, 0.1, 1.0, 10.0, 100.0):
+        res = eval_fourier_transform(m, xi, 1e-11)
+        want = _fourier_ref(m, xi)
+        assert rel(res.value, want) <= 1e-9
+        assert abs(res.value - want) <= res.abs_err_estimate
