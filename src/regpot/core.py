@@ -6,8 +6,9 @@ for the Tricomi-U integral (DLMF 13.4.4)
     K(m, c, z) = (1/Gamma(m+1)) * int_0^inf u^m e^(-u) (z + u)^c du,
 
 with an analytic bound on the truncated tail, so every result carries a
-defensible absolute-error estimate.  V_m^p(x) = K(m, (1-p)/p, x^p), and the
-p = 2 Fourier transform is Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4).
+defensible absolute-error estimate.  It returns Gamma(m+1) K, which
+V_m^p(x) = K(m, (1-p)/p, x^p) divides by Gamma(m+1), and the p = 2 Fourier
+transform Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4) by sqrt(2 pi) alone.
 Closed forms (p = 1, x = 0, 1/p a positive integer) and the large-x
 asymptotic series are dispatched to when cheaper and at least as accurate.
 """
@@ -15,6 +16,7 @@ asymptotic series are dispatched to when cheaper and at least as accurate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 3000
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_finite(**values: float) -> None:
@@ -117,12 +120,13 @@ def _panel(f, lo: float, hi: float, n: int) -> float:
     return half * float(np.sum(ws * f(mid + half * xs)))
 
 
-def _adaptive(f, a: float, b: float, tol_abs: float) -> tuple[float, float]:
-    """Adaptive composite Gauss-Legendre; error from a 15- vs 7-node comparison,
-    plus the rounding of summing the panels and their nodes, for an integrand
-    of one sign."""
+def _adaptive(f, edges, tol_abs: float) -> tuple[float, float]:
+    """Adaptive composite Gauss-Legendre over the panels between consecutive
+    `edges`; error from a 15- vs 7-node comparison, plus the rounding of
+    summing the panels and their nodes, for an integrand of one sign."""
+    a, b = edges[0], edges[-1]
     total, err = 0.0, 0.0
-    stack = [(a, b)]
+    stack = list(zip(edges, edges[1:]))
     panels = 0
     while stack:
         lo, hi = stack.pop()
@@ -147,7 +151,8 @@ def _gamma_tail_bound(a: float, U: float) -> float:
     # u^a <= u^n U^(a-n) on [U, inf) with n = max(ceil(a), 0), and
     # Gamma(n+1, U) = sum_{j<=n} (n!/j!) U^j e^(-U), summed from j = n down;
     # inf, a valid if useless bound, where U^a e^(-U) overflows a double
-    term = tot = _x_pow(math.e, a * math.log(U) - U)
+    log_term = a * math.log(U) - U
+    term = tot = math.exp(log_term) if log_term < _LOG_MAX else math.inf
     for j in range(math.ceil(a), 0, -1):
         term *= j / U
         tot += term
@@ -166,22 +171,32 @@ def _vmp_tail_bound(m: float, c: float, z: float, U: float) -> float:
 
 
 def _quad_vmp(m: float, c: float, z: float, tol: float) -> tuple[float, float]:
-    """(K(m, c, z), absolute-error estimate) for z > 0; K as in the module
-    docstring."""
-    gamma_m1, gamma_err = gamma_ratio(m + 1.0)  # raises from m ~ 171
-    # The tolerance scales with a lower bound on K: Jensen's (z+|m|+1)^c and,
-    # for c <= 0, K over [0, q] with (z+u)^c and e^(-u) taken at q, largest at
-    # the positive root q of q^2 - (m+1+c-z) q - (m+1) z = 0; that one follows
-    # K's growth like z^(m+1+c) as z -> 0 below the threshold m + 1 + c = 0.
-    scale = (z + abs(m) + 1.0) ** c
+    """(Gamma(m+1) K(m, c, z), absolute-error estimate) for z > 0, with K as
+    in the module docstring: the integral itself, unnormalised."""
+    # u^m e^(-u) peaks near Gamma(m+1), so the integrand leaves the double
+    # range with it
+    log_gamma = math.lgamma(m + 1.0)
+    if log_gamma > _LOG_MAX:
+        raise ConvergenceError(f"Gamma({m + 1.0}) overflows a double")
+    if z == 0 and m + 1.0 + c <= 0:
+        # the integral grows like z^(m+1+c), or log(1/z), as z -> 0
+        raise ConvergenceError("x^p or xi^2/4 underflows to 0, where the integral diverges")
+    # The tolerance scales with a lower bound on the integral: Jensen's
+    # Gamma(m+1) (z+|m|+1)^c and, for c <= 0, the integral over [0, q] with
+    # (z+u)^c and e^(-u) taken at q, largest at the positive root q of
+    # q^2 - (m+1+c-z) q - (m+1) z = 0; that one follows the growth like
+    # z^(m+1+c) as z -> 0 below the threshold m + 1 + c = 0.
+    log_scale = log_gamma + c * math.log(z + abs(m) + 1.0)
     if c <= 0:
         b = m + 1.0 + c - z
         d = math.hypot(b, 2.0 * math.sqrt((m + 1.0) * z))
         q = 0.5 * (b + d) if b >= 0 else 2.0 * (m + 1.0) * z / (d - b)
         if q > 0:
-            scale = max(scale, math.exp(c * math.log(z + q) - q + (m + 1.0) * math.log(q)
-                                        - math.lgamma(m + 2.0)))
-    target_abs = max(tol, 1e-16) * scale * gamma_m1
+            log_scale = max(log_scale, c * math.log(z + q) - q + (m + 1.0) * math.log(q)
+                            - math.log(m + 1.0))
+    if log_scale > _LOG_MAX:
+        raise ConvergenceError("the unnormalised integral Gamma(m+1) K overflows a double")
+    target_abs = max(tol, 1e-16) * math.exp(log_scale)
 
     U = max(2.0 * abs(m) + 2.0, 10.0)
     while (tail := _vmp_tail_bound(m, c, z, U)) > 0.25 * target_abs:
@@ -195,9 +210,14 @@ def _quad_vmp(m: float, c: float, z: float, tol: float) -> tuple[float, float]:
     # the small-z near-singularity at once.  When m + 1 + c <= 0 the second
     # cannot be positive (the integrand peaks near t = z^(1/gamma) instead),
     # and flattening the u^m weight alone suffices.
+    edges = (0.0, 1.0)
     if m + 1.0 < 0.025:
-        # u^m is nearly 1/u: u = t^(1/(m+1)) makes the weight exactly flat
+        # u^m is nearly 1/u: u = t^(1/(m+1)) makes the weight exactly flat.
+        # e^(-u) (z+u)^c is flat up to u = z e^(-40) too; its change, within
+        # (40 + log(1/z))/gamma of t = 1, escapes one panel's nodes: break.
         gamma = 1.0 / (m + 1.0)
+        decades = 40.0 - math.log(min(max(z, math.ulp(0.0)), 1.0))
+        edges = (0.0, math.exp(-decades / gamma), 1.0)
     else:
         denom = m + 1.0 + min(c, 0.0)
         gamma = max(3.0 / (m + 1.0), 3.0 / denom if denom > 0.025 else 0.0)
@@ -211,13 +231,11 @@ def _quad_vmp(m: float, c: float, z: float, tol: float) -> tuple[float, float]:
         u = t ** gamma
         return gamma * t ** (gamma * (m + 1.0) - 1.0) * np.exp(-u) * (z + u) ** c
 
-    val, perr = _adaptive(f_head, 0.0, 1.0, 0.25 * target_abs)
+    val, perr = _adaptive(f_head, edges, 0.25 * target_abs)
     # log form: u^m alone overflows a double from u ~ 110 at m = 150
     v2, e2 = _adaptive(lambda u: np.exp(m * np.log(u) - u) * (z + u) ** c,
-                       1.0, U, 0.25 * target_abs)
-    value = (val + v2) / gamma_m1
-    abs_err = (perr + e2 + tail + value * gamma_err) / gamma_m1 + _ulp_slack(value)
-    return value, abs_err
+                       (1.0, U), 0.25 * target_abs)
+    return val + v2, perr + e2 + tail
 
 
 # ---------------------------------------------------------------- closed forms
@@ -325,8 +343,11 @@ def eval_vmp(params: EvalParams, tol: float = DEFAULT_TOL) -> EvalResult:
                 return res
         except AsymptoticRegimeError:
             pass
-    value, abs_err = _quad_vmp(m, (1.0 - p) / p, z, tol)
-    return EvalResult(value, abs_err, "quadrature")
+    integral, err = _quad_vmp(m, (1.0 - p) / p, z, tol)
+    gamma_m1, gamma_err = gamma_ratio(m + 1.0)
+    value = integral / gamma_m1
+    return EvalResult(value, (err + value * gamma_err) / gamma_m1 + _ulp_slack(value),
+                      "quadrature")
 
 
 def vmp(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -353,6 +374,6 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     if xi == 0:
         raise DomainError("the transform integral diverges at xi = 0")
     _check_tol(tol)
-    front = gamma_ratio(m + 1.0)[0] / math.sqrt(2.0 * math.pi)
-    k, k_err = _quad_vmp(m, -(m + 1.0), 0.25 * xi * xi, tol)
-    return EvalResult(front * k, front * k_err, "quadrature")
+    integral, err = _quad_vmp(m, -(m + 1.0), 0.25 * xi * xi, tol)
+    value = integral / math.sqrt(2.0 * math.pi)
+    return EvalResult(value, err / math.sqrt(2.0 * math.pi) + _ulp_slack(value), "quadrature")

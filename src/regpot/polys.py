@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bounds import bisect
-from .core import _EPS, DEFAULT_TOL, EvalParams, _x_pow, eval_vmp, gamma_ratio
+from .core import DEFAULT_TOL, EvalParams, _x_pow, eval_vmp, gamma_ratio
 from .errors import BracketError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
@@ -175,58 +175,36 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
     and a V_0 or x taken at the true x^p and 1/p would differ from them by
     a rounding error that the condition number amplifies.
 
-    Non-integer m: the anchor pair (V_a, V_(a-1)) at a = m - floor(m) is
-    combined with numeric coefficient chains following the same recursion
-    upward.  Where that combination cancels beyond tol, or x^p overflows a
-    double, V_m is evaluated directly.
+    Non-integer m, or x^p past the double range: V_m is evaluated directly,
+    since the polynomials exist only at integer m and the upward recursion
+    from fractional anchors cancels once x^p passes about m.
     """
     if m < 1:
         raise DomainError(f"polynomial representation requires m >= 1, got {m}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     EvalParams(m, p, x)  # rejects non-finite m, p, x
-    xp = _x_pow(x, p)
-    if math.isinf(xp):
-        # V_m = x^(1-p) to double precision, from the asymptotic series
+    if not float(m).is_integer() or math.isinf(_x_pow(x, p)):
         return eval_vmp(EvalParams(m, p, x), tol).value
-    if float(m).is_integer():
-        mi = int(m)
-        yv, s = _exact_y_s(p, x)
-        P = _eval_y("P", mi, s, yv)
-        Q = _eval_y("Q", mi - 1, s, yv)
-        anchor = eval_vmp(EvalParams(0.0, p, x), tol)
-        v0 = anchor.value
-        # condition |P V_0| / |V_m|, with the Jensen-scale magnitude
-        # (y + m)^(s - 1) for |V_m|: the float combination is unreliable
-        # exactly when it cancels.  Taken in log space, because P alone can
-        # pass the float range at large y.
-        log_cond = (_log10_abs(P) + math.log10(abs(v0))
-                    - (1.0 - p) / p * _log10_abs(yv + mi))
-        cond = 10.0 ** min(log_cond, 300.0)
-        if cond <= 1e3 and cond * anchor.abs_err_estimate / abs(v0) <= 0.5 * tol:
-            return float(P * Fraction(v0) + Fraction(x) * Q)
-        dps = 30 + int(max(log_cond, 0.0))
-        v0_hp = _anchor_v0_hp(yv, s, dps)
-        with mp.workdps(dps):
-            return float(_mpf(P) * v0_hp + _mpf(yv) ** _mpf(s) * _mpf(Q))
-
-    # fractional m: V_(a+j) = A_j V_a + B_j V_(a-1), where A and B follow the
-    # recursion from (1, 0) at a and (0, 1) at a - 1
-    a = m - math.floor(m)
-    ns = [a + i for i in range(1, int(math.floor(m)) + 1)]
-    A = recur(ns, 1.0 / p, xp, 0.0, 1.0)[-1]
-    B = recur(ns, 1.0 / p, xp, 1.0, 0.0)[-1]
-    ra = eval_vmp(EvalParams(a, p, x), tol)
-    rb = eval_vmp(EvalParams(a - 1.0, p, x), tol)
-    value = A * ra.value + B * rb.value
-    # Upward, the wanted solution turns subdominant once x^p passes about m,
-    # and A V_a + B V_(a-1) cancels; where the anchors' errors, so
-    # amplified, exceed tol, V_m is evaluated directly.
-    err = (abs(A) * ra.abs_err_estimate + abs(B) * rb.abs_err_estimate
-           + len(ns) * _EPS * (abs(A * ra.value) + abs(B * rb.value)))
-    if err <= tol * abs(value):
-        return value
-    return eval_vmp(EvalParams(m, p, x), tol).value
+    mi = int(m)
+    yv, s = _exact_y_s(p, x)
+    P = _eval_y("P", mi, s, yv)
+    Q = _eval_y("Q", mi - 1, s, yv)
+    anchor = eval_vmp(EvalParams(0.0, p, x), tol)
+    v0 = anchor.value
+    # condition |P V_0| / |V_m|, with the Jensen-scale magnitude
+    # (y + m)^(s - 1) for |V_m|: the float combination is unreliable
+    # exactly when it cancels.  Taken in log space, because P alone can
+    # pass the float range at large y.
+    log_cond = (_log10_abs(P) + math.log10(abs(v0))
+                - (1.0 - p) / p * _log10_abs(yv + mi))
+    cond = 10.0 ** min(log_cond, 300.0)
+    if cond <= 1e3 and cond * anchor.abs_err_estimate / abs(v0) <= 0.5 * tol:
+        return float(P * Fraction(v0) + Fraction(x) * Q)
+    dps = 30 + int(max(log_cond, 0.0))
+    v0_hp = _anchor_v0_hp(yv, s, dps)
+    with mp.workdps(dps):
+        return float(_mpf(P) * v0_hp + _mpf(yv) ** _mpf(s) * _mpf(Q))
 
 
 # ---------------------------------------------------------------- identities

@@ -169,12 +169,15 @@ def test_non_finite_input_is_domain_error(bad):
 
 
 def test_large_m_overflow_is_convergence_error():
-    # Gamma(m + 1) overflows a double from m ~ 171.6; 4^(m + 1) from m ~ 511
+    # Gamma(m + 1) overflows a double from m ~ 170.6
     for m in (171.0, 200.0, 600.0):
         with pytest.raises(ConvergenceError, match="overflows"):
             eval_vmp(EvalParams(m, 2.0, 1.0))
         with pytest.raises(ConvergenceError, match="overflows"):
             eval_fourier_transform(m, 1.0)
+    # at tiny p the integral Gamma(m+1) K leaves the double range first
+    with pytest.raises(ConvergenceError, match="overflows"):
+        eval_vmp(EvalParams(120.0, 0.0156, 1.0))
 
 
 def test_large_m_asymptotic_dispatch_still_answers():
@@ -189,10 +192,12 @@ def test_large_m_asymptotic_dispatch_still_answers():
         assert abs(res.value - want) <= res.abs_err_estimate
 
 
-@pytest.mark.parametrize("m", [130.0, 150.0, 170.0])
-@pytest.mark.parametrize("x", [0.01, 1.0])
-def test_large_m_quadrature_matches_tricomi_u(m, x):
-    # u^m overflowed a double in the tail piece from m ~ 130 at p = 2.
+@pytest.mark.parametrize("m, x", [(m, x) for m in (130.0, 150.0, 170.0) for x in (0.01, 1.0)]
+                         + [(-0.9999, 1e-4), (-0.9999, 1.0)])
+def test_quadrature_matches_tricomi_u(m, x):
+    # u^m overflowed a double in the tail piece from m ~ 130 at p = 2; at
+    # m = -0.9999 the head map u = t^(1/(m+1)) put every node of a single
+    # [0, 1] panel at u ~ 0, off by ~(m+1) while claiming ~eps.
     # Reference: V_m^2(x) = x^(2m+1) U(m+1, m+3/2, x^2) at 30 digits
     res = eval_vmp(EvalParams(m, 2.0, x))
     assert res.method == "quadrature"
@@ -218,6 +223,16 @@ def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want):
             call()
     else:
         assert rel(call(), want) < 1e-14
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_vmp(EvalParams(-0.999, 3.0, 1e-120)),
+    lambda: eval_fourier_transform(-0.99, 1e-170),
+], ids=["vmp", "fourier"])
+def test_underflowing_z_below_threshold_is_convergence_error(call):
+    # z = x^p or xi^2/4 rounds to 0 where the integral diverges as z -> 0
+    with pytest.raises(ConvergenceError, match="underflows"):
+        call()
 
 
 def test_vmp_wrapper_bit_for_bit():
@@ -247,7 +262,7 @@ def _fourier_ref(m, xi):
                      / mpmath.sqrt(2 * mpmath.pi))
 
 
-@pytest.mark.parametrize("m", [-0.999, -0.5, 0.0, 0.5, 2.0, 6.0, 10.0, 15.0, 20.0])
+@pytest.mark.parametrize("m", [-0.9999, -0.999, -0.5, 0.0, 0.5, 2.0, 6.0, 10.0, 15.0, 20.0])
 def test_fourier_transform_matches_tricomi_u(m):
     # the transform once took a tolerance scale up to 1e18 above the value
     # (off by up to 0.43 at m = 15, 20) and failed to converge at xi = 1e-4

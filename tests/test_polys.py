@@ -92,8 +92,9 @@ def test_eval_via_polynomials_matches_quadrature():
 
 
 def test_eval_via_polynomials_fractional_anchor():
-    # from x^p ~ m on, the upward anchor combination cancels (at (20.5, 30)
-    # it once returned 7.6e22 for 0.0329)
+    # fractional m is evaluated directly: from x^p ~ m on, an upward
+    # combination of the anchors V_a, V_(a-1) cancels (at (20.5, 30) it once
+    # returned 7.6e22 for 0.0329)
     for m, x in ((2.5, 1.3), (6.5, 1.3), (6.5, 3.0), (6.5, 5.0), (12.5, 10.0), (20.5, 30.0)):
         got = eval_via_polynomials(m, 2.0, x)
         want = eval_vmp(EvalParams(m, 2.0, x), 1e-12).value
