@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, EvalParams, eval_vm0, eval_vmp
+from .core import DEFAULT_TOL, EvalParams, _x_pow, eval_vm0, eval_vmp
 from .errors import BracketError, DomainError
 
 SLACK = 1e-9
@@ -105,19 +105,22 @@ def jensen_bounds(m: float, p: float, x: float) -> tuple[float, float | None]:
         raise DomainError(f"Jensen bounds stated for x > 0, got {x}")
     if m <= -1:
         raise DomainError(f"m must be > -1, got {m}")
-    xp = x ** p
-    expo = (1.0 - p) / p
+    xp = _x_pow(x, p)
+
+    def jensen(a: float) -> float:
+        # (x^p + a)^((1-p)/p); where x^p + a overflows, or is 0 at a = 0,
+        # it is x^(1-p) to double precision, and inf an upper bound
+        s = xp + a
+        return _x_pow(s, (1.0 - p) / p) if 0.0 < s < math.inf else _x_pow(x, 1.0 - p)
+
     if p >= 1:
-        lower = (xp + m + 1.0) ** expo
-        upper = (xp + m) ** expo if m >= 0 else None  # upper stated for m >= 0 only
-        return lower, upper
+        upper = jensen(m) if m >= 0 else None  # upper stated for m >= 0 only
+        return jensen(m + 1.0), upper
     if p >= 0.5:
-        upper = (xp + m + 1.0) ** expo
         if m < 0:
             raise DomainError(f"lower Jensen bound requires m >= 0 for 1/2 <= p < 1, got m={m}")
-        lower = (xp + m) ** expo
-        return lower, upper
-    return (xp + m + 1.0) ** expo, None
+        return jensen(m), jensen(m + 1.0)
+    return jensen(m + 1.0), None
 
 
 def boyd_bounds(m: float) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from oracles import simpson_fourier, simpson_vmp, vm0_oracle
-from regpot import bounds, polys, recursion
+from regpot import bounds, cli, polys, recursion
 from regpot.core import (EvalParams, eval_asymptotic, eval_closed_form_inv_p,
                          eval_fourier_transform, eval_vm0, eval_vmp, vmp)
 from regpot.errors import AsymptoticRegimeError, ConvergenceError, DomainError, RegpotError
@@ -192,37 +192,59 @@ def test_large_m_asymptotic_dispatch_still_answers():
         assert abs(res.value - want) <= res.abs_err_estimate
 
 
-@pytest.mark.parametrize("m, x", [(m, x) for m in (130.0, 150.0, 170.0) for x in (0.01, 1.0)]
-                         + [(-0.9999, 1e-4), (-0.9999, 1.0)])
-def test_quadrature_matches_tricomi_u(m, x):
+TRICOMI_ROWS = ([(m, 2.0, x) for m in (130.0, 150.0, 170.0) for x in (0.01, 1.0)]
+                + [(-0.9999, 2.0, 1e-4), (-0.9999, 2.0, 1.0), (0.5, 0.08, 0.01),
+                   (-0.99999, 0.7, 1e-8), (1.0, 2.391, 0.002188)])
+
+
+@pytest.mark.parametrize("m, p, x", TRICOMI_ROWS, ids=[
+    f"{m}-{x}" + ("" if p == 2.0 else f"-p{p}") for m, p, x in TRICOMI_ROWS])
+def test_quadrature_matches_tricomi_u(m, p, x):
     # u^m overflowed a double in the tail piece from m ~ 130 at p = 2; at
     # m = -0.9999 the head map u = t^(1/(m+1)) put every node of a single
-    # [0, 1] panel at u ~ 0, off by ~(m+1) while claiming ~eps.
-    # Reference: V_m^2(x) = x^(2m+1) U(m+1, m+3/2, x^2) at 30 digits
-    res = eval_vmp(EvalParams(m, 2.0, x))
+    # [0, 1] panel at u ~ 0, off by ~(m+1) while claiming ~eps.  At p = 0.08
+    # and at m ~ -1 with p = 0.7 the tolerance scale (z+|m|+1)^c was far
+    # from the integral (panel budget exhausted; 1.3e-9 off); at
+    # (1, 2.391, 0.002188) the head's kink at u ~ z fooled the error estimate.
+    # Reference, DLMF 13.4.4: V_m^p(x) = z^(m+1+c) U(m+1, m+2+c, z) with
+    # z = x^p and c = (1-p)/p, at 30 digits
+    res = eval_vmp(EvalParams(m, p, x))
     assert res.method == "quadrature"
     with mpmath.workdps(30):
-        want = float(mpmath.mpf(x) ** (2 * m + 1) * mpmath.hyperu(m + 1, m + 1.5, mpmath.mpf(x) ** 2))
+        z, c = mpmath.mpf(x) ** p, (1 - mpmath.mpf(p)) / p
+        want = float(z ** (m + 1 + c) * mpmath.hyperu(m + 1, m + 2 + c, z))
     assert rel(res.value, want) < 1e-9
     assert abs(res.value - want) <= res.abs_err_estimate
 
 
-@pytest.mark.parametrize("call, want", [
-    (lambda: vmp(1.0, 2.0, 1e300), 1e-300),
-    (lambda: vmp(1.0, 1e-3, 2.0), None),  # V is past 1000! here
-    (lambda: polys.eval_via_polynomials(3.0, 2.5, 1e200), 1e-300),
-    (lambda: recursion.chain_values(20, 2.0, 1e200)[-1], 1e-200),
-    (lambda: recursion.averaged_potential(7, 3.0, 1e120), 1e-240),
-    (lambda: bounds.ratio(5.0, 2.0, 1e200), 1.0),
-], ids=["vmp", "vmp_tiny_p", "eval_via_polynomials", "chain_values", "averaged_potential",
-        "ratio"])
-def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want):
-    # V = x^(1-p) to double precision once x^p overflows a double
+@pytest.mark.parametrize("call, want, rtol", [
+    (lambda: vmp(1.0, 2.0, 1e300), 1e-300, 1e-14),
+    (lambda: vmp(1.0, 1e-3, 2.0), None, None),  # V is past 1000! here
+    (lambda: vmp(-1.0, 3.0, 1e-300), None, None),  # the convention x^(1-p)
+    (lambda: polys.eval_via_polynomials(3.0, 2.5, 1e200), 1e-300, 1e-14),
+    (lambda: recursion.chain_values(20, 2.0, 1e200)[-1], 1e-200, 1e-14),
+    (lambda: recursion.averaged_potential(7, 3.0, 1e120), 1e-240, 1e-14),
+    (lambda: bounds.ratio(5.0, 2.0, 1e200), 1.0, 1e-14),
+    (lambda: bounds.jensen_bounds(1.0, 2.0, 1e300), (1e-300, 1e-300), 1e-14),
+    (lambda: bounds.jensen_bounds(0.5, 3.0, 1e200), (0.0, 0.0), 0.0),  # V = 1e-400
+    (lambda: cli.main(["table", "--m", "1", "--p", "2", "--grid", "1,1e300,3,geometric",
+                       "--with-bounds"]), 0, 0.0),
+    # x^p underflows to 0 here, and x^(1-p) overflows: V_m(x) is V_m(0)
+    (lambda: recursion.chain_values(5, 11.89, 4.3e-279)[-1], eval_vm0(5.0, 11.89).value,
+     1e-9),
+    (lambda: recursion.averaged_potential(3, 9.23, 1.7e-176), recursion.averaged_at_zero(3, 9.23),
+     1e-9),
+], ids=["vmp", "vmp_tiny_p", "vmp_convention", "eval_via_polynomials", "chain_values",
+        "averaged_potential", "ratio", "jensen_bounds", "jensen_bounds_underflow", "vmp_table",
+        "chain_values_tiny_x", "averaged_potential_tiny_x"])
+def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want, rtol):
+    # V = x^(1-p) to double precision once x^p overflows a double; where
+    # x^(1-p) overflows instead, V_m is V_m(0) or a RegpotError
     if want is None:
         with pytest.raises(RegpotError, match="overflows"):
             call()
     else:
-        assert rel(call(), want) < 1e-14
+        assert call() == pytest.approx(want, rel=rtol, abs=0.0)
 
 
 @pytest.mark.parametrize("call", [

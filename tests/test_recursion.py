@@ -42,10 +42,13 @@ def test_recur_from_fractional_anchors():
 
 
 def test_chain_values_small_and_large_x():
-    for x in (0.5, 1.0, 3.0, 10.0, 50.0):
-        ch = chain_values(20, 2.0, x)
-        for m in (0, 1, 10, 20):
-            assert rel(ch[m], eval_vmp(EvalParams(float(m), 2.0, x)).value) < 1e-8
+    # every m: an upward chain checked only at its top drifted 2.8e-9 inside
+    # at (m, p, x) = (11, 2, 3.409)
+    for p in (0.75, 2.0, 3.0):
+        for x in (0.5, 1.0, 3.0, 3.409, 10.0, 50.0):
+            ch = chain_values(20, p, x, 1e-12)
+            for m in range(21):
+                assert rel(ch[m], eval_vmp(EvalParams(float(m), p, x), 1e-12).value) < 1e-10
 
 
 def test_unrolled_matches_recursion():
@@ -63,8 +66,13 @@ def test_averaged_potential_closed_form():
     for p in (0.75, 2.0, 3.0):
         for n in (1, 3, 5, 7):
             for x in np.geomspace(0.01, 50.0, 9):
-                direct, budget = averaged_direct_and_budget(n, p, float(x))
-                assert abs(averaged_potential(n, p, float(x)) - direct) <= budget
+                x = float(x)
+                direct, budget = averaged_direct_and_budget(n, p, x)
+                closed = p * eval_vmp(EvalParams(float(n), p, x)).value - (p * x ** p / n) * (
+                    x ** (1.0 - p) - eval_vmp(EvalParams(n - 1.0, p, x)).value)
+                got = averaged_potential(n, p, x)
+                assert abs(got - direct) <= budget
+                assert abs(got - closed) <= budget
 
 
 def test_averaged_cusp_slope():
@@ -97,3 +105,8 @@ def test_domain_guards():
         chain_values(0, 2.0, 1.0)
     with pytest.raises(DomainError):
         averaged_potential(0, 2.0, 1.0)
+    for p in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            chain_values(5, p, 1.0)
+        with pytest.raises(DomainError):
+            averaged_potential(3, p, 1.0)
