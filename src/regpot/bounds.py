@@ -132,17 +132,6 @@ def boyd_bounds(m: float) -> tuple[float, float]:
     return lower, upper
 
 
-def mascioni_upper_v0p(p: float, x: float) -> float:
-    """Upper bound for V_0^p(x), p >= 2: 4p/(3p x^(p-1) + sqrt(p^2 x^(2p-2) + 8p(p-1) x^(p-2)))."""
-    if p < 2:
-        raise DomainError(f"bound stated for p >= 2, got {p}")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
-    return 4.0 * p / (3.0 * p * x ** (p - 1.0)
-                      + math.sqrt(p * p * x ** (2.0 * p - 2.0)
-                                  + 8.0 * p * (p - 1.0) * x ** (p - 2.0)))
-
-
 def ratio(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """R_m^p(x) = V_m^p(x) / V_(m-1)^p(x)."""
     num = eval_vmp(EvalParams(m, p, x), tol).value

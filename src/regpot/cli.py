@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds, certify, polys, recursion
 from .core import DEFAULT_TOL, EvalParams, eval_vmp
 from .errors import ChainMismatchError, DomainError, RegpotError
@@ -24,7 +26,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 SUITES = ("v0", "ratio", "convexity", "monotone", "jensen", "boyd", "r123", "all")
-CHAINS = ("k4p2", "k8p2", "generic_k", "p3k4", "all")
+CHAINS = (*certify.ALL_CHAINS, "all")
 
 
 def _default_tol() -> float:
@@ -64,8 +66,7 @@ def _parse_grid(spec: str) -> list[float]:
     if scale == "geometric":
         if start <= 0 or stop <= 0:
             raise DomainError("geometric grid requires positive endpoints")
-        ratio = (stop / start) ** (1.0 / (count - 1))
-        return [start * ratio ** i for i in range(count)]
+        return np.geomspace(start, stop, count).tolist()
     raise DomainError(f"grid scale must be linear or geometric, got {scale!r}")
 
 

@@ -7,8 +7,8 @@ y = s - z.  So every identity check below is exact and valid for all p at
 once.  Numeric p enters only at evaluation boundaries.
 
 `eval_via_polynomials` evaluates V_m^p = P_m(y) V_0^p + y^s Q_(m-1)(y), with
-y = x^p, s = 1/p and P, Q exact.  When the two terms cancel, the anchor is
-taken from its closed form (DLMF 8.2)
+y = x^p, s = 1/p and P, Q exact.  The anchor is taken from its closed form
+(DLMF 8.2), at enough digits to absorb the cancellation between the terms:
 
     V_0^p(x) = p e^(x^p) int_x^inf e^(-t^p) dt = e^(x^p) Gamma(1/p, x^p),
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bounds import bisect
-from .core import DEFAULT_TOL, EvalParams, _x_pow, eval_vmp, gamma_ratio
+from .core import DEFAULT_TOL, EvalParams, _check_tol, _x_pow, eval_vmp, gamma_ratio
 from .errors import BracketError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
@@ -151,8 +151,7 @@ def _log10_abs(q: Fraction) -> float:
 
 def _anchor_v0_hp(y: Fraction, s: Fraction, dps: int):
     """V_0 = e^y Gamma(s, y), with y = x^p and s = 1/p, at `dps` digits, for
-    the cancelling polynomial combination; at s = 1/2 this is
-    sqrt(pi) e^y erfc(sqrt(y))."""
+    the polynomial combination; at s = 1/2 this is sqrt(pi) e^y erfc(sqrt(y))."""
     with mp.workdps(dps):
         y = _mpf(y)
         if s == Fraction(1, 2):
@@ -165,46 +164,41 @@ def _anchor_v0_hp(y: Fraction, s: Fraction, dps: int):
 def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """V_m^p(x) through the polynomial representation.
 
-    Integer m: V_m = P_m(y) V_0 + y^s Q_(m-1)(y) with y = x^p, s = 1/p and
-    P, Q exact.  The two terms cancel catastrophically once y is large
-    relative to m.  When the measured condition number exceeds 1e3, or the
-    anchor's own error amplified by it would exceed tol/2, the combination
-    is recomputed at enough working precision to absorb that condition
-    number, with V_0 = e^y Gamma(s, y) and y^s taken at the same Fractions
-    (y, s) as P and Q.  At non-integer p these are the doubles x^p and 1/p,
+    Integer m: V_m = P_m(y) V_0 + y^s Q_(m-1)(y) with y = x^p, s = 1/p,
+    P and Q exact and V_0 = e^y Gamma(s, y) in closed form, all at the same
+    Fractions (y, s).  At non-integer p these are the doubles x^p and 1/p,
     and a V_0 or x taken at the true x^p and 1/p would differ from them by
-    a rounding error that the condition number amplifies.
+    a rounding error that the cancellation amplifies.  The combination is
+    taken at 30 digits plus log10 of its condition number, so the value is
+    rounded from at least 30 correct digits whatever tol asks; tol is still
+    checked.
 
-    Non-integer m, or x^p past the double range: V_m is evaluated directly,
-    since the polynomials exist only at integer m and the upward recursion
-    from fractional anchors cancels once x^p passes about m.
+    Non-integer m, or x^p past the double range: V_m is evaluated directly
+    at tol, since the polynomials exist only at integer m and the upward
+    recursion from fractional anchors cancels once x^p passes about m.
     """
     if m < 1:
         raise DomainError(f"polynomial representation requires m >= 1, got {m}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     EvalParams(m, p, x)  # rejects non-finite m, p, x
+    _check_tol(tol)
     if not float(m).is_integer() or math.isinf(_x_pow(x, p)):
         return eval_vmp(EvalParams(m, p, x), tol).value
     mi = int(m)
     yv, s = _exact_y_s(p, x)
     P = _eval_y("P", mi, s, yv)
     Q = _eval_y("Q", mi - 1, s, yv)
-    anchor = eval_vmp(EvalParams(0.0, p, x), tol)
-    v0 = anchor.value
-    # condition |P V_0| / |V_m|, with the Jensen-scale magnitude
-    # (y + m)^(s - 1) for |V_m|: the float combination is unreliable
-    # exactly when it cancels.  Taken in log space, because P alone can
-    # pass the float range at large y.
-    log_cond = (_log10_abs(P) + math.log10(abs(v0))
-                - (1.0 - p) / p * _log10_abs(yv + mi))
-    cond = 10.0 ** min(log_cond, 300.0)
-    if cond <= 1e3 and cond * anchor.abs_err_estimate / abs(v0) <= 0.5 * tol:
-        return float(P * Fraction(v0) + Fraction(x) * Q)
+    # log10 of the condition |P V_0| / |V_m|, with the Jensen-scale
+    # magnitudes (y + 1)^(s - 1) of V_0 and (y + m)^(s - 1) of V_m; in log
+    # space, because P alone can pass the float range at large y.  The
+    # estimate is loosest at small y, where the terms do not cancel and the
+    # 30-digit floor absorbs its error.
+    log_cond = _log10_abs(P) + (float(s) - 1.0) * (_log10_abs(yv + 1) - _log10_abs(yv + mi))
     dps = 30 + int(max(log_cond, 0.0))
-    v0_hp = _anchor_v0_hp(yv, s, dps)
+    v0 = _anchor_v0_hp(yv, s, dps)
     with mp.workdps(dps):
-        return float(_mpf(P) * v0_hp + _mpf(yv) ** _mpf(s) * _mpf(Q))
+        return float(_mpf(P) * v0 + _mpf(yv) ** _mpf(s) * _mpf(Q))
 
 
 # ---------------------------------------------------------------- identities

@@ -69,11 +69,6 @@ class RatPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.coeffs)
 
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(e) for e in self.coeffs)
-
     def coeff(self, expo: tuple) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
 

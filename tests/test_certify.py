@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from regpot import _reference as ref
 from regpot.certify import (ALL_CHAINS, ExtensionElement, PositivityCertificate,
-                            build_chain_k4_p2, build_chain_k8_p2,
+                            _square_guard, build_chain_k4_p2, build_chain_k8_p2,
                             build_chain_p3_k4, certificate_json,
                             numeric_lemma_sweep, optimality_factor_generic_k,
                             positivity_for_m_ge, run_chain)
@@ -49,6 +49,12 @@ def test_norm_multiplicative(e):
     assert (e * e).norm() == e.norm() ** 2
 
 
+def element_value(e, **values) -> float:
+    """a + b B as a float, with B = +sqrt(q) (q >= 0 at the point)."""
+    return (float(e.a.eval(**values))
+            + float(e.b.eval(**values)) * math.sqrt(float(e.q.eval(**values))))
+
+
 @given(elements())
 @settings(max_examples=30, deadline=None)
 def test_derivative_step_is_a_derivative(e):
@@ -57,17 +63,15 @@ def test_derivative_step_is_a_derivative(e):
     y0, m0 = 0.7, 2.0
     stepped = e.diff_times_B()
     qv = float(Q.eval(y=Fraction(7, 10), m=2))
-    got = stepped.eval_float(y=Fraction(7, 10), m=2) / math.sqrt(qv)
+    got = element_value(stepped, y=Fraction(7, 10), m=2) / math.sqrt(qv)
     h = 1e-6
 
     def val(yv):
         fy = Fraction(yv).limit_denominator(10 ** 12)
-        return e.eval_float(y=fy, m=2)
+        return element_value(e, y=fy, m=2)
 
     fd = (val(y0 + h) - val(y0 - h)) / (2 * h)
     assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
-    doubled = e.diff_times_2B()
-    assert doubled.a == 2 * stepped.a and doubled.b == 2 * stepped.b
 
 
 def test_element_guards():
@@ -135,6 +139,19 @@ def test_run_chain_dispatch_and_json():
         assert set(d) >= {"chain", "q", "steps", "polys", "anchors"}
     with pytest.raises(DomainError):
         run_chain("bogus")
+
+
+def test_square_guard_certifies_both_radicands():
+    for build in (build_chain_k4_p2, build_chain_k8_p2, build_chain_p3_k4):
+        guard = build().notes["square_guard"]
+        assert set(guard) == {"q", "r"}
+        for cert in guard.values():
+            assert cert["status"] == "all_coeffs_nonneg" and cert["m_low"] == 1
+    # (y + m - 3)^2 + 4y is nonnegative, but its shift to m >= 1 has the
+    # negative coefficient -4 of m: not certified, so the guard refuses it
+    y, m = RatPoly.var(VARS, "y"), RatPoly.var(VARS, "m")
+    with pytest.raises(ChainMismatchError, match="radicand r"):
+        _square_guard(Q, (y + m - 3) ** 2 + 4 * y, "shifted_r")
 
 
 def test_chain_mismatch_detection(monkeypatch):

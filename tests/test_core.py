@@ -229,6 +229,9 @@ def test_quadrature_matches_tricomi_u(m, p, x):
     (lambda: bounds.jensen_bounds(0.5, 3.0, 1e200), (0.0, 0.0), 0.0),  # V = 1e-400
     (lambda: cli.main(["table", "--m", "1", "--p", "2", "--grid", "1,1e300,3,geometric",
                        "--with-bounds"]), 0, 0.0),
+    # the grid spans 500 decades: its ratio (stop/start)^(1/(n-1)) overflows
+    (lambda: cli.main(["table", "--m", "0", "--p", "2", "--grid", "1e-200,1e300,3,geometric"]),
+     0, 0.0),
     # x^p underflows to 0 here, and x^(1-p) overflows: V_m(x) is V_m(0)
     (lambda: recursion.chain_values(5, 11.89, 4.3e-279)[-1], eval_vm0(5.0, 11.89).value,
      1e-9),
@@ -236,6 +239,7 @@ def test_quadrature_matches_tricomi_u(m, p, x):
      1e-9),
 ], ids=["vmp", "vmp_tiny_p", "vmp_convention", "eval_via_polynomials", "chain_values",
         "averaged_potential", "ratio", "jensen_bounds", "jensen_bounds_underflow", "vmp_table",
+        "vmp_table_wide_grid",
         "chain_values_tiny_x", "averaged_potential_tiny_x"])
 def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want, rtol):
     # V = x^(1-p) to double precision once x^p overflows a double; where

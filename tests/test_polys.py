@@ -168,6 +168,35 @@ def test_cancelling_combination_at_non_integer_p_and_huge_y(m, p, x):
     assert rel(eval_via_polynomials(float(m), p, x), _mp_vmp(m, p, x)) < 1e-9
 
 
+_X_MID = [0.3 * (10 / 0.3) ** (i / 11) for i in range(12)]
+_X_WIDE = [1e-3 * 1e6 ** (i / 12) for i in range(13)]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.5, 1.5, 0.75, 0.1, 0.2, 0.35, 0.5])
+def test_eval_via_polynomials_matches_hyperu(monkeypatch, p):
+    # at integer m the value is rounded from >= 30 correct digits whatever
+    # tol asks, with the closed-form anchor and no quadrature: correctly
+    # rounded (to within one ulp) at integer p, where y and s are exact; at
+    # non-integer p the double x^p carries its own rounding.  A quadrature
+    # anchor at tol left up to 1.5e-11 at (m, p, x, tol) = (1, 2, 5.29, 1e-10).
+    def no_eval_vmp(*args, **kwargs):
+        raise AssertionError("eval_vmp called")
+
+    monkeypatch.setattr(polys, "eval_vmp", no_eval_vmp)
+    xs, tols = (_X_MID, (1e-10, 1e-12)) if p > 0.5 else (_X_WIDE, (1e-12,))
+    bound = 2.3e-16 if p.is_integer() else 1e-14
+    for m in (1, 2, 3, 5, 8, 13, 20):
+        for x in xs:
+            with mpmath.workdps(40):
+                mm, pp, xx = mpmath.mpf(m), mpmath.mpf(p), mpmath.mpf(x)
+                z, c = xx ** pp, (1 - pp) / pp
+                want = z ** (mm + 1 + c) * mpmath.hyperu(mm + 1, mm + 2 + c, z)
+            for tol in tols:
+                got = eval_via_polynomials(float(m), p, x, tol)
+                with mpmath.workdps(40):
+                    assert abs(got - want) <= bound * want, (m, p, x, tol)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_eval_via_polynomials_rejects_non_finite(bad):
     for args in ((bad, 2.0, 1.0), (2.0, bad, 1.0), (2.0, 2.0, bad)):
