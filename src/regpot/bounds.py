@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, EvalParams, _x_pow, eval_vm0, eval_vmp
+from .core import DEFAULT_TOL, _x_pow, eval_vm0, eval_vmp_many
 from .errors import BracketError, DomainError
+from .recursion import chain_values
 
 SLACK = 1e-9
 
@@ -133,9 +134,8 @@ def boyd_bounds(m: float) -> tuple[float, float]:
 
 
 def ratio(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    """R_m^p(x) = V_m^p(x) / V_(m-1)^p(x)."""
-    num = eval_vmp(EvalParams(m, p, x), tol).value
-    den = eval_vmp(EvalParams(m - 1.0, p, x), tol).value
+    """R_m^p(x) = V_m^p(x) / V_(m-1)^p(x), both from one `eval_vmp_many` call."""
+    num, den = eval_vmp_many([m, m - 1.0], p, [x, x], tol)[0].tolist()
     return num / den
 
 
@@ -203,8 +203,7 @@ def verify_v0_bounds(grid: list[float] | None = None, tol: float = DEFAULT_TOL) 
     """g_pi(x) <= V_0(x) < g_4(x) on the grid plus x = 0 (equality only there)."""
     rep = Report("v0")
     grid = [0.0] + (grid if grid is not None else default_grid())
-    for i, x in enumerate(grid):
-        v = eval_vmp(EvalParams(0.0, 2.0, x), tol).value
+    for i, (x, v) in enumerate(zip(grid, eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist())):
         lo, hi = g_k(math.pi, x), g_k(4.0, x)
         if x == 0.0:
             ok = abs(v - lo) <= 1e-12 * v and v < hi
@@ -222,8 +221,7 @@ def find_gk_violation(k: float, side: str, grid: list[float] | None = None,
                       tol: float = DEFAULT_TOL) -> float | None:
     """First grid point where g_k fails as the given bound for V_0 (optimality witness)."""
     grid = [0.0] + (grid if grid is not None else default_grid())
-    for x in grid:
-        v = eval_vmp(EvalParams(0.0, 2.0, x), tol).value
+    for x, v in zip(grid, eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist()):
         gk = g_k(k, x)
         if side == "upper" and v >= gk:
             return x
@@ -234,12 +232,13 @@ def find_gk_violation(k: float, side: str, grid: list[float] | None = None,
 
 def verify_ratio_bounds(m_max: int, grid: list[float] | None = None,
                         tol: float = DEFAULT_TOL) -> Report:
-    """G_8^(m-1)(x^2) < R_m(x) < G_4^m(x^2) for integer m in [1, m_max]."""
+    """G_8^(m-1)(x^2) < R_m(x) < G_4^m(x^2) for integer m in [1, m_max], the
+    ratios read off one chain per grid."""
     rep = Report("ratio")
     grid = grid if grid is not None else default_grid()
+    chain = chain_values(m_max, 2.0, grid, tol)
     for m in range(1, m_max + 1):
-        for i, x in enumerate(grid):
-            r = ratio(float(m), 2.0, x, tol)
+        for i, (x, r) in enumerate(zip(grid, (chain[m] / chain[m - 1]).tolist())):
             lo = G_k_m(8.0, m - 1.0, x * x)
             hi = G_k_m(4.0, float(m), x * x)
             margin = min(r - lo, hi - r)
@@ -249,12 +248,12 @@ def verify_ratio_bounds(m_max: int, grid: list[float] | None = None,
 
 def verify_ratio_monotone(m: int, grid: list[float] | None = None,
                           tol: float = DEFAULT_TOL) -> Report:
-    """R_(m+1) nondecreasing along an increasing grid."""
+    """R_(m+1) nondecreasing along an increasing grid, read off one chain."""
     rep = Report("monotone")
     grid = grid if grid is not None else default_grid()
+    chain = chain_values(m + 1, 2.0, grid, tol)
     prev = None
-    for i, x in enumerate(grid):
-        r = ratio(m + 1.0, 2.0, x, tol)
+    for i, (x, r) in enumerate(zip(grid, (chain[m + 1] / chain[m]).tolist())):
         if prev is not None:
             margin = r - prev
             rep.record(margin > -SLACK, margin, index=i, m=m, x=x)
@@ -270,23 +269,36 @@ def convexity_criterion_poly(m: float, x: float, z: float) -> float:
 
 def verify_convexity_reciprocal(m: int, p: float, grid: list[float] | None = None,
                                 tol: float = 1e-12, fd_slack: float = 1e-7) -> Report:
-    """Convexity of 1/V_m: finite-difference second derivative >= -fd_slack,
-    plus the algebraic criterion P(R_m(x)) < 0 when p = 2."""
+    """Convexity of 1/V_m: (1/V)'' >= -fd_slack, plus the algebraic criterion
+    P(R_m(x)) < 0 when p = 2.  Both come from one chain per grid: with
+    V_m' = p x^(p-1) (V_m - V_(m-1)), exact at m = 0 with V_(-1) = x^(1-p),
+
+        (1/V)'' = (2 V'^2 - V V'') / V^3,
+        V''     = p (p-1) x^(p-2) (V_m - V_(m-1))
+                  + p^2 x^(2p-2) (V_m - 2 V_(m-1) + V_(m-2)),
+
+    where V_(-2) = x^(1-p) - (1-p) x^(1-2p) / p makes the first identity
+    give V_(-1)' = (1-p) x^(-p)."""
     if m < 0 or p < 2:
         raise DomainError(f"suite stated for integer m >= 0, p >= 2; got m={m}, p={p}")
     rep = Report("convexity")
     grid = grid if grid is not None else default_grid(5e-2, 20.0, 120)
+    xs = np.asarray(grid, dtype=float)
+    chain = chain_values(max(m, 1), p, xs, tol)
+    v_minus1 = xs ** (1.0 - p)
+    below = [v_minus1 - (1.0 - p) / p * xs ** (1.0 - 2.0 * p), v_minus1, *chain]
+    v, v1, v2 = below[m + 2], below[m + 1], below[m]  # V_m, V_(m-1), V_(m-2)
+    slope = p * xs ** (p - 1.0)
+    d1 = slope * (v - v1)
+    d2 = p * (p - 1.0) * xs ** (p - 2.0) * (v - v1) + slope * slope * (v - 2.0 * v1 + v2)
+    second = (2.0 * d1 * d1 - v * d2) / v ** 3
+    ratios = v / v1 if m >= 1 and p == 2 else None
     for i, x in enumerate(grid):
-        h = max(1e-4, 1e-4 * x)
-        f = lambda t: 1.0 / eval_vmp(EvalParams(float(m), p, t), tol).value
-        second = (f(x + h) - 2.0 * f(x) + f(max(x - h, h * 1e-3))) / (h * h) \
-            if x - h > 0 else (f(x + 2 * h) - 2.0 * f(x + h) + f(x)) / (h * h)
-        rep.record(second >= -fd_slack, second, index=i, m=m, p=p, x=x, kind="fd")
-        if p == 2:
-            z = ratio(float(m), 2.0, x, tol) if m >= 1 else None
-            if z is not None:
-                crit = convexity_criterion_poly(float(m), x, z)
-                rep.record(crit < 0.0, -crit, index=i, m=m, x=x, kind="criterion")
+        rep.record(second[i] >= -fd_slack, float(second[i]), index=i, m=m, p=p, x=x,
+                   kind="exact")
+        if ratios is not None:
+            crit = convexity_criterion_poly(float(m), x, float(ratios[i]))
+            rep.record(crit < 0.0, -crit, index=i, m=m, x=x, kind="criterion")
     return rep
 
 
@@ -295,8 +307,7 @@ def verify_jensen(m: float, p: float, grid: list[float] | None = None,
     """V sits inside the regime-appropriate Jensen sandwich."""
     rep = Report("jensen")
     grid = grid if grid is not None else default_grid()
-    for i, x in enumerate(grid):
-        v = eval_vmp(EvalParams(m, p, x), tol).value
+    for i, (x, v) in enumerate(zip(grid, eval_vmp_many(m, p, grid, tol)[0].tolist())):
         lo, up = jensen_bounds(m, p, x)
         margin = v - lo if up is None else min(v - lo, up - v)
         rep.record(margin > -SLACK * max(1.0, abs(v)), margin, index=i, m=m, p=p, x=x)
@@ -327,23 +338,24 @@ def verify_r123(tol: float = DEFAULT_TOL) -> Report:
     rep.record(abs(x0 - 0.2511) < 1e-3, abs(x0 - 0.2511), check="x0")
     rep.record(abs(x1 - 1.399) < 1e-3, abs(x1 - 1.399), check="x1")
 
-    def v0(x):
-        return eval_vmp(EvalParams(0.0, 2.0, x), tol).value
+    def v0(grid):
+        return zip(grid.tolist(), eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist())
 
     # V_0 <= h1 on [x0, inf): the R_1 lower bound in disguise
-    for x in np.geomspace(x0 * 1.02, 50.0, 120):
-        margin = h1(x) - v0(x)
-        rep.record(margin > -SLACK, margin, check="h1", x=float(x))
-    # V_0 >= h2 wherever h2 is a genuine (positive) lower candidate
-    for x in np.geomspace(1e-2, 50.0, 150):
+    for x, v in v0(np.geomspace(x0 * 1.02, 50.0, 120)):
+        margin = h1(x) - v
+        rep.record(margin > -SLACK, margin, check="h1", x=x)
+    # V_0 >= h2 wherever h2 is a genuine (positive) lower candidate;
+    # V_0 <= h3 wherever h3 is a genuine upper candidate
+    values = list(v0(np.geomspace(1e-2, 50.0, 150)))
+    for x, v in values:
         val = h2(x)
         if val > 0:
-            margin = v0(x) - val
-            rep.record(margin > -SLACK, margin, check="h2", x=float(x))
-    # V_0 <= h3 wherever h3 is a genuine upper candidate
-    for x in np.geomspace(1e-2, 50.0, 150):
+            margin = v - val
+            rep.record(margin > -SLACK, margin, check="h2", x=x)
+    for x, v in values:
         val = h3(x)
         if val > 0:
-            margin = val - v0(x)
-            rep.record(margin > -SLACK, margin, check="h3", x=float(x))
+            margin = val - v
+            rep.record(margin > -SLACK, margin, check="h3", x=x)
     return rep

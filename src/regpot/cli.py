@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, certify, polys, recursion
-from .core import DEFAULT_TOL, EvalParams, eval_vmp
+from .core import DEFAULT_TOL, EvalParams, eval_vmp, eval_vmp_many
 from .errors import ChainMismatchError, DomainError, RegpotError
 
 EXIT_OK = 0
@@ -110,26 +110,39 @@ def _table_rows(args) -> tuple[list[str], list[dict]]:
         cols += ["ratio"]
     if args.with_vav:
         cols += ["v_av"]
+    values, errs, methods = eval_vmp_many(args.m, args.p, grid, args.tol)
+    # the ratio and v_av columns: one call and one chain on the points x > 0
+    nan = float("nan")
+    xs = np.asarray(grid)
+    pos = xs > 0
+    if args.with_ratio:
+        ratios = np.full(xs.size, nan)
+        if pos.any():
+            ratios[pos] = values[pos] / eval_vmp_many(args.m - 1.0, args.p, xs[pos], args.tol)[0]
+    if args.with_vav:
+        v_avs = np.empty(xs.size)
+        if pos.any():
+            v_avs[pos] = recursion.averaged_potential(args.with_vav, args.p, xs[pos], args.tol)
+        if not pos.all():
+            v_avs[~pos] = recursion.averaged_at_zero(args.with_vav, args.p)
     rows = []
-    for x in grid:
-        res = eval_vmp(EvalParams(args.m, args.p, x), args.tol)
-        row: dict = {"x": x, "value": res.value,
-                     "abs_err_estimate": res.abs_err_estimate, "method": res.method}
+    for i, x in enumerate(grid):
+        row: dict = {"x": x, "value": float(values[i]),
+                     "abs_err_estimate": float(errs[i]), "method": methods[i]}
         if args.with_bounds:
             if x > 0:
                 lo, hi = bounds.jensen_bounds(args.m, args.p, x)
             else:
-                lo, hi = float("nan"), float("nan")
+                lo, hi = nan, nan
             row["jensen_lower"] = lo
-            row["jensen_upper"] = hi if hi is not None else float("nan")
+            row["jensen_upper"] = hi if hi is not None else nan
             if args.m == 0:
                 row["g_pi"] = bounds.g_k(math.pi, x)
                 row["g_4"] = bounds.g_k(4.0, x)
         if args.with_ratio:
-            row["ratio"] = bounds.ratio(args.m, args.p, x, args.tol) if x > 0 else float("nan")
+            row["ratio"] = float(ratios[i])
         if args.with_vav:
-            row["v_av"] = (recursion.averaged_potential(args.with_vav, args.p, x, args.tol)
-                           if x > 0 else recursion.averaged_at_zero(args.with_vav, args.p))
+            row["v_av"] = float(v_avs[i])
         rows.append(row)
     return cols, rows
 
@@ -219,12 +232,10 @@ def cmd_roots(args) -> int:
     rows = []
     for m in range(1, args.m_max + 1):
         z = polys.tildeP_roots(m, args.p)
-        row = {"m": m, "tildeP_root": z if z is not None else float("nan")}
-        if z is not None:
-            row["P_root"] = polys.P_root_nonneg(m, args.p)
-        else:
-            row["P_root"] = float("nan")
-        rows.append(row)
+        if z is None:
+            z = float("nan")
+        # P_m(y) = tilde-P_m(1/p - y): the same root as P_root_nonneg's
+        rows.append({"m": m, "tildeP_root": z, "P_root": 1.0 / args.p - z})
     if args.format == "json":
         payload = [{k: (fmt_json(v) if isinstance(v, float) else v) for k, v in r.items()}
                    for r in rows]

@@ -1,22 +1,25 @@
 """Evaluation of the regularized potential V_m^p(x) and its Fourier transform.
 
-The workhorse is one adaptive Gauss-Legendre quadrature kernel, `_quad_vmp`,
-for the Tricomi-U integral (DLMF 13.4.4)
+V_m^p(x) = K(m, (1-p)/p, x^p), and the p = 2 Fourier transform is
+Gamma(m+1) K(m, -(m+1), xi^2/4) / sqrt(2 pi), with the Tricomi-U integral
 
-    K(m, c, z) = (1/Gamma(m+1)) * int_0^inf u^m e^(-u) (z + u)^c du,
+    K(m, c, z) = (1/Gamma(m+1)) * int_0^inf u^m e^(-u) (z + u)^c du
 
-with an analytic bound on the truncated tail, so every result carries a
-defensible absolute-error estimate.  It returns Gamma(m+1) K, which
-V_m^p(x) = K(m, (1-p)/p, x^p) divides by Gamma(m+1), and the p = 2 Fourier
-transform Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4) by sqrt(2 pi) alone.
-Closed forms (p = 1, x = 0, 1/p a positive integer) and the large-x
-asymptotic series are dispatched to when cheaper and at least as accurate.
+(DLMF 13.4.4) taken by one double-exponential trapezoid kernel, `_quad_vmp`,
+at a whole vector of (m, z) per call.  Under Mori's map u = exp(t - e^(-t))
+(Takahasi & Mori 1974) the integrand, sampled in logs with lgamma(m+1) in the
+exponent so that no Gamma(m+1) overflows, decays double exponentially in t.
+The step is halved until two successive levels agree to tol (Trefethen &
+Weideman 2014); the estimate is the larger difference plus the exponent's
+rounding.  Near tol = 1e-15 that rounding can pass tol |K|: the value comes
+back with that honest estimate, or a ConvergenceError names the tol as out
+of reach.  `eval_vmp_many` picks closed forms, the m = -1 convention or the
+large-x series point by point, and sends the other points to one kernel call.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,6 @@ from .errors import AsymptoticRegimeError, ConvergenceError, DomainError
 DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
-_MAX_PANELS = 3000
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_finite(**values: float) -> None:
@@ -52,12 +53,9 @@ class EvalParams:
             raise DomainError(f"m must be >= -1, got {self.m}")
         if self.x < 0:
             raise DomainError(f"x must be nonnegative, got {self.x}")
-        if self.x == 0:
-            if self.m == -1:
-                if self.p >= 1:
-                    raise DomainError("x = 0 with m = -1 is undefined for p >= 1")
-            elif self.m <= -1.0 / self.p:
-                raise DomainError(f"x = 0 requires m > -1/p, got m={self.m}, p={self.p}")
+        if self.x == 0 and (self.p >= 1 if self.m == -1 else self.m <= -1.0 / self.p):
+            raise DomainError(f"x = 0 requires m > -1/p, or m = -1 with p < 1; "
+                              f"got m={self.m}, p={self.p}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class EvalResult:
     method: str  # quadrature | asymptotic | closed_form_inv_p | convention
 
 
-def _ulp_slack(value: float) -> float:
+def _ulp_slack(value):
     return 10.0 * _EPS * abs(value)
 
 
@@ -105,144 +103,79 @@ def gamma_ratio(a: float, *bs: float) -> tuple[float, float]:
 
 # ---------------------------------------------------------------- quadrature
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _panel(f, lo: float, hi: float, n: int) -> float:
-    xs, ws = _gl(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * float(np.sum(ws * f(mid + half * xs)))
-
-
-def _adaptive(f, edges, tol_abs: float) -> tuple[float, float]:
-    """Adaptive composite Gauss-Legendre over the panels between consecutive
-    `edges`; error from a 15- vs 7-node comparison, plus the rounding of
-    summing the panels and their nodes, for an integrand of one sign."""
-    a, b = edges[0], edges[-1]
-    total, err = 0.0, 0.0
-    stack = list(zip(edges, edges[1:]))
-    panels = 0
-    while stack:
-        lo, hi = stack.pop()
-        coarse = _panel(f, lo, hi, 7)
-        fine = _panel(f, lo, hi, 15)
-        e = abs(fine - coarse)
-        panels += 1
-        if panels > _MAX_PANELS:
-            raise ConvergenceError("quadrature panel budget exhausted")
-        if e <= tol_abs * (hi - lo) / (b - a) or (hi - lo) <= 64.0 * _EPS * (b - a):
-            total += fine
-            err += e
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total, err + (panels + 15) * _EPS * abs(total)
-
-
-def _gamma_tail_bound(a: float, U: float) -> float:
-    """Upper bound on int_U^inf u^a e^(-u) du, for U >= 1."""
-    # u^a <= u^n U^(a-n) on [U, inf) with n = max(ceil(a), 0), and
-    # Gamma(n+1, U) = sum_{j<=n} (n!/j!) U^j e^(-U), summed from j = n down;
-    # inf, a valid if useless bound, where U^a e^(-U) overflows a double
-    log_term = a * math.log(U) - U
-    term = tot = math.exp(log_term) if log_term < _LOG_MAX else math.inf
-    for j in range(math.ceil(a), 0, -1):
-        term *= j / U
-        tot += term
-    return tot
-
-
-def _vmp_tail_bound(m: float, c: float, z: float, U: float) -> float:
-    """Upper bound on int_U^inf u^m e^(-u) (z+u)^c du, for U >= 1."""
-    if c <= 0:
-        # algebraic factor is nonincreasing, take its value at U
-        return (z + U) ** c * _gamma_tail_bound(m, U)
-    # c > 0: (z+u)^c <= (z+u)^n with n = ceil(c); expand binomially
-    n = math.ceil(c)
-    return sum(math.comb(n, i) * z ** i * _gamma_tail_bound(m + n - i, U)
-               for i in range(n + 1))
-
-
-def _quad_vmp(m: float, c: float, z: float, tol: float) -> tuple[float, float]:
-    """(Gamma(m+1) K(m, c, z), absolute-error estimate) for z > 0, with K as
-    in the module docstring: the integral itself, unnormalised."""
-    # u^m e^(-u) peaks near Gamma(m+1), so the integrand leaves the double
-    # range with it
-    log_gamma = math.lgamma(m + 1.0)
-    if log_gamma > _LOG_MAX:
-        raise ConvergenceError(f"Gamma({m + 1.0}) overflows a double")
-    if z == 0 and m + 1.0 + c <= 0:
-        # the integral grows like z^(m+1+c), or log(1/z), as z -> 0
+def _quad_vmp(m, c: float, z, tol: float, log_norm: float | None = None):
+    """(integral / e^L, absolute-error estimate), arrays over the 1-D array
+    z > 0, where the integral is Gamma(m+1) K(m, c, z), m is one value or one
+    per z, and L = log_norm, by default lgamma(m+1), which gives K itself."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z == 0):
+        # below the threshold m + 1 + c = 0 the integral grows like
+        # z^(m+1+c), or log(1/z), as z -> 0
         raise ConvergenceError("x^p or xi^2/4 underflows to 0, where the integral diverges")
-    # The tolerance scales with a lower bound on the integral.  For c > 0,
-    # (z+u)^c >= max(u^c, z^c) gives max(Gamma(m+1+c), Gamma(m+1) z^c).  For
-    # c <= 0, Jensen's Gamma(m+1) (z+|m|+1)^c and the integral over [0, q]
-    # with (z+u)^c and e^(-u) taken at q, largest at the positive root q of
-    # q^2 - (m+1+c-z) q - (m+1) z = 0; that one follows the growth like
-    # z^(m+1+c) as z -> 0 below the threshold m + 1 + c = 0.
-    if c > 0:
-        log_scale = max(math.lgamma(m + 1.0 + c), log_gamma + c * math.log(z))
-    else:
-        log_scale = log_gamma + c * math.log(z + abs(m) + 1.0)
-        b = m + 1.0 + c - z
-        d = math.hypot(b, 2.0 * math.sqrt((m + 1.0) * z))
-        q = 0.5 * (b + d) if b >= 0 else 2.0 * (m + 1.0) * z / (d - b)
-        if q > 0:
-            log_scale = max(log_scale, c * math.log(z + q) - q + (m + 1.0) * math.log(q)
-                            - math.log(m + 1.0))
-    if log_scale > _LOG_MAX:
-        raise ConvergenceError("the unnormalised integral Gamma(m+1) K overflows a double")
-    target_abs = max(tol, 1e-16) * math.exp(log_scale)
+    m1 = (np.asarray(m, dtype=float) + np.ones_like(z))[:, None]
+    L = np.array([[math.lgamma(v)] for v in m1[:, 0].tolist()]) if log_norm is None \
+        else np.full(m1.shape, log_norm)
+    z = z[:, None]
+    # The t-range reaches u^(m+1) ~ e^(-80), (u/z)^(m+1) ~ e^(-80) when
+    # c < 0, where the mass can sit near u ~ z, and the tail of u^(b-1) e^(-u)
+    # past 12.6 standard deviations; one grid serves every row.
+    b = float(m1.max()) + max(c, 0.0)
+    s_lo = -80.0 / float(m1.min()) + (min(0.0, math.log(z.min())) if c < 0 else 0.0)
+    t_lo = -math.log1p(-s_lo)  # s(t_lo) <= s_lo - 1
+    s_hi = math.log(b + math.sqrt(160.0 * b) + 80.0)
+    t_hi = s_hi + math.exp(-s_hi)  # s(t_hi) >= s_hi
+    n = 2 * math.ceil((t_hi - t_lo) / min(0.5, 1.0 / math.sqrt(float(m1.max()))))
+    h = (t_hi - t_lo) / n
 
-    U = max(2.0 * abs(m) + 2.0, 10.0)
-    while (tail := _vmp_tail_bound(m, c, z, U)) > 0.25 * target_abs:
-        U *= 1.3
-        if U > 700.0:
-            raise ConvergenceError("tail bound not satisfiable before exp underflow")
+    def log_f(t, rows):
+        """log f at the nodes t, and its largest terms."""
+        e = np.exp(-t)
+        s = t - e
+        u = np.exp(s)
+        m_s, c_log = m1[rows] * s, c * np.log(z[rows] + u)
+        return m_s - u + np.log1p(e) - L[rows] + c_log, (m_s, u, c_log)
 
-    # Head [0, 1] under u = t^gamma: the transformed integrand behaves like
-    # t^(gamma(m+1)-1) while t^gamma << z and t^(gamma(m+1+min(c, 0))-1)
-    # beyond; gamma makes both exponents >= 2, which tames the u^m weight and
-    # the small-z near-singularity at once.  When m + 1 + c <= 0 the second
-    # cannot be positive (the integrand peaks near t = z^(1/gamma) instead),
-    # and flattening the u^m weight alone suffices.
-    edges = (0.0, 1.0)
-    if m + 1.0 < 0.025:
-        # u^m is nearly 1/u: u = t^(1/(m+1)) makes the weight exactly flat.
-        # e^(-u) (z+u)^c is flat up to u = z e^(-40) too; its change, within
-        # (40 + log(1/z))/gamma of t = 1, escapes one panel's nodes: break.
-        gamma = 1.0 / (m + 1.0)
-        decades = 40.0 - math.log(min(max(z, math.ulp(0.0)), 1.0))
-        edges = (0.0, math.exp(-decades / gamma), 1.0)
-    else:
-        denom = m + 1.0 + min(c, 0.0)
-        gamma = max(3.0 / (m + 1.0), 3.0 / denom if denom > 0.025 else 0.0)
-        if denom < 0.5 and 0.0 < z < 1.0:
-            # near (or below) the threshold the mass spreads over log(1/z)
-            # decades; stretch the map so they fit in O(1) t-range
-            gamma = max(gamma, math.log(1.0 / z))
-        gamma = min(max(gamma, 1.0), 120.0)
-        if 0.0 < z < 1.0:
-            # the integrand has a kink where u ~ z that fools the 7- vs
-            # 15-node comparison of a panel across it: break there
-            edges = (0.0, z ** (1.0 / gamma), 1.0)
-
-    def f_head(t):  # Gauss-Legendre nodes are interior, so t > 0
-        u = t ** gamma
-        return gamma * t ** (gamma * (m + 1.0) - 1.0) * np.exp(-u) * (z + u) ** c
-
-    val, perr = _adaptive(f_head, edges, 0.25 * target_abs)
-    # log form: u^m alone overflows a double from u ~ 110 at m = 150
-    v2, e2 = _adaptive(lambda u: np.exp(m * np.log(u) - u) * (z + u) ** c,
-                       (1.0, U), 0.25 * target_abs)
-    return val + v2, perr + e2 + tail
+    with np.errstate(over="ignore", invalid="ignore"):
+        # levels h0 = 2h and h in one pass; the shift puts each row's largest
+        # sample at 1, and the rounding errors of the terms of log f become
+        # relative errors of f
+        rows = np.arange(z.size)
+        lf, (m_s, u, c_log) = log_f(t_lo + h * np.arange(n + 1.0), rows)
+        size = np.abs(m_s) + u + np.abs(c_log) + np.abs(L)
+        shift = lf.max(axis=1, keepdims=True)
+        f = np.exp(lf - shift)
+        total = h * f.sum(axis=1)
+        diff = np.abs(total - 2.0 * h * f[:, ::2].sum(axis=1))
+        rounding = _EPS * ((f * size).sum(axis=1) / f.sum(axis=1) + 10.0)
+        estimate = np.empty(z.size)
+        for _ in range(12):  # down to h0 / 4096
+            h *= 0.5
+            t = t_lo + h * np.arange(1.0, 2 * n, 2.0)  # the new midpoints
+            n *= 2
+            new_sum, step = 0.0, max((1 << 16) // rows.size, 1)  # bound the memory
+            for i in range(0, t.size, step):
+                new_sum = new_sum + np.exp(log_f(t[i:i + step], rows)[0]
+                                           - shift[rows]).sum(axis=1)
+            new_total = 0.5 * total[rows] + h * new_sum
+            new_diff = np.abs(new_total - total[rows])
+            total[rows] = new_total
+            round_rel = rounding[rows] + _EPS * math.sqrt(n)
+            # two successive levels must agree: one can by chance
+            limit = np.maximum(0.1 * tol, round_rel) * new_total
+            done = (new_diff <= limit) & (diff[rows] <= limit)
+            estimate[rows] = np.maximum(new_diff, diff[rows]) + round_rel * new_total
+            diff[rows] = new_diff
+            rows = rows[~done]
+            if not rows.size:
+                break
+        else:
+            raise ConvergenceError(
+                f"tol {tol:g} is out of reach: successive trapezoid levels still differ "
+                f"by {float(np.max(diff[rows] / total[rows])):.1e} relative")
+        value = np.exp(shift[:, 0] + np.log(total))  # total >= h: its largest sample is 1
+    if not np.all(np.isfinite(value)):
+        raise ConvergenceError("the integral overflows a double")
+    return value, value * (estimate / total)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -257,22 +190,51 @@ def eval_vm0(m: float, p: float) -> EvalResult:
     return EvalResult(value, abs_err, "closed_form_inv_p")
 
 
-def eval_closed_form_inv_p(m: float, n: int, x: float) -> float:
-    """V_m^(1/n)(x) for integer n >= 2: a degree-(n-1) polynomial in x^(1/n)."""
+def eval_closed_form_inv_p(m: float, n: int, x):
+    """V_m^(1/n)(x) for integer n >= 2: a degree-(n-1) polynomial in x^(1/n),
+    at a scalar x or at every x of an array."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n}")
     if m <= -1:
         raise DomainError(f"m must be > -1, got {m}")
-    if x < 0:
+    if np.any(np.asarray(x) < 0):
         raise DomainError(f"x must be nonnegative, got {x}")
-    t = x ** (1.0 / n)
-    coeffs = [math.comb(n - 1, k) * gamma_ratio(m + n - k, m + 1.0)[0] for k in range(n)]
+    t = np.asarray(x, dtype=float) ** (1.0 / n)
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    if math.isinf(acc):
+    with np.errstate(over="ignore"):
+        # Gamma(m + 1 + j), not Gamma(m + n - k): at m ~ -1 the rounding of
+        # m + n - k is a large relative error of an argument near the pole
+        for k in range(n - 1, -1, -1):
+            acc = acc * t + math.comb(n - 1, k) * gamma_ratio(m + 1.0 + (n - 1 - k), m + 1.0)[0]
+    if np.any(np.isinf(acc)):
         raise ConvergenceError(f"V_m^(1/{n})(x) overflows a double at m = {m}, x = {x}")
-    return acc
+    return float(acc) if np.ndim(x) == 0 else acc
+
+
+def _asymptotic_series(ms: np.ndarray, p: float, xs: np.ndarray, max_terms: int = 40):
+    """(values, estimates, in_regime) of `eval_asymptotic`'s series at every
+    (m, x) of the arrays ms and xs; out of regime where the first correction
+    is not smaller than the leading term."""
+    j = np.arange(max_terms + 1.0)
+    factors = np.ones((xs.size, max_terms + 2))
+    with np.errstate(over="ignore", under="ignore"):
+        factors[:, 1:] = (((1.0 - p) / p - j) / (j + 1.0) * (ms[:, None] + 1.0 + j)
+                          * xs[:, None] ** -p)
+        # terms[:, j] = binom((1-p)/p, j) (m+1)_j x^(-jp), and the sums up to
+        # each, in order; a growing term stops the sum before it can overflow
+        terms = np.cumprod(factors, axis=1)
+        sums = np.cumsum(terms, axis=1)
+        size = np.abs(terms)
+    # truncate before the first term that is 0 (the series terminates, as at
+    # m = -1), that no longer shrinks (the optimal truncation point), or that
+    # can no longer change the sum
+    stop = size[:, 1:] <= 0.5 * _EPS * np.abs(sums[:, :-1])
+    stop[:, 1:] |= size[:, 2:] >= size[:, 1:-1]
+    stop[:, -1] = True
+    rows, k = np.arange(xs.size), stop.argmax(axis=1)
+    lead = xs ** (1.0 - p)
+    values = lead * sums[rows, k]
+    return values, lead * size[rows, k + 1] + _ulp_slack(values), size[:, 1] < 1.0
 
 
 def eval_asymptotic(params: EvalParams, max_terms: int = 40) -> EvalResult:
@@ -286,78 +248,75 @@ def eval_asymptotic(params: EvalParams, max_terms: int = 40) -> EvalResult:
         raise DomainError(f"asymptotic series requires p > 1, got p={p}")
     if x <= 0:
         raise DomainError("asymptotic series requires x > 0")
-    alpha = (1.0 - p) / p
-    inv_xp = x ** (-p)
-    lead = x ** (1.0 - p)
-
-    total = 1.0
-    term = 1.0
-    first_omitted = 0.0
-    for j in range(max_terms):
-        nxt = term * (alpha - j) / (j + 1) * (m + 1.0 + j) * inv_xp
-        if j == 0 and abs(nxt) >= 1.0:
-            raise AsymptoticRegimeError(
-                f"first correction {nxt:.3g} not smaller than leading term at x={x}")
-        if nxt == 0.0:
-            # series terminates (e.g. the m = -1 convention)
-            first_omitted = 0.0
-            break
-        if j > 0 and abs(nxt) >= abs(term):
-            # optimal truncation point reached
-            first_omitted = abs(nxt)
-            break
-        term = nxt
-        total += term
-        first_omitted = abs(term * (alpha - j - 1) / (j + 2) * (m + 2.0 + j) * inv_xp)
-    value = lead * total
-    return EvalResult(value, lead * first_omitted + _ulp_slack(value), "asymptotic")
+    values, errs, in_regime = _asymptotic_series(np.array([m]), p, np.array([x]), max_terms)
+    if not in_regime[0]:
+        raise AsymptoticRegimeError(f"first correction not smaller than leading term at x={x}")
+    return EvalResult(float(values[0]), float(errs[0]), "asymptotic")
 
 
 # ---------------------------------------------------------------- dispatcher
 
-def _inv_p_integer(p: float) -> int | None:
-    n = 1.0 / p
-    r = round(n)
-    if r >= 2 and abs(n - r) < 1e-12 * max(1.0, n):
-        return int(r)
-    return None
+def eval_vmp_many(m, p: float, xs, tol: float = DEFAULT_TOL):
+    """(values, estimates, methods), arrays over the points x of `xs`, of
+    V_m^p(x), with m one value or one per x.  The method is chosen point by
+    point: the convention at m = -1, closed forms at p = 1, x = 0 (or x^p
+    below the double range) and 1/p an integer, and the asymptotic series
+    where it meets tol; the other points share one `_quad_vmp` call."""
+    _check_tol(tol)
+    xs = np.array(xs, dtype=float).ravel()
+    ms = np.asarray(m, dtype=float) + np.zeros_like(xs)
+    for mi in set(ms.tolist()):  # m and p, at an x with no rules of its own
+        EvalParams(mi, p, 1.0)
+    odd = ~((xs > 0) & np.isfinite(xs))
+    if odd.any():
+        for mi, x in zip(ms[odd].tolist(), xs[odd].tolist()):
+            EvalParams(mi, p, x)
+    values, errs = np.ones(xs.size), np.full(xs.size, _ulp_slack(1.0))
+    methods = np.full(xs.size, "closed_form_inv_p", dtype=object)
+    rest = ms != -1
+    if not rest.all():
+        with np.errstate(over="ignore"):
+            v = xs[~rest] ** (1.0 - p)
+        if np.isinf(v).any():
+            x = xs[~rest][np.isinf(v)][0]
+            raise ConvergenceError(f"V_-1 = x^(1-p) overflows a double at x = {x}")
+        values[~rest], errs[~rest], methods[~rest] = v, _ulp_slack(v), "convention"
+    if p == 1:
+        return values, errs, methods
+    with np.errstate(over="ignore"):
+        z = xs ** p  # inf only at p > 1, where the series gives x^(1-p)
+    if not z.all():
+        for i in np.flatnonzero(rest & (z == 0) & (ms > -1.0 / p)):
+            res = eval_vm0(float(ms[i]), p)
+            values[i], errs[i] = res.value, res.abs_err_estimate
+        rest &= (z > 0) | (ms <= -1.0 / p)
+    n = round(1.0 / p)
+    if n >= 2 and abs(1.0 / p - n) < 1e-12 * n:
+        for mi in set(ms[rest].tolist()):
+            at = rest & (ms == mi)
+            values[at] = eval_closed_form_inv_p(mi, n, xs[at])
+            # no coefficient's gamma ratio errs by more than the leading one's
+            lead, lead_err = gamma_ratio(mi + 1.0 + (n - 1), mi + 1.0)
+            errs[at] = values[at] * lead_err / lead + _ulp_slack(values[at]) * n
+        return values, errs, methods
+    near = np.flatnonzero(rest & (z > 2.0 * (ms + 2.0))) if p > 1 else []
+    if len(near):
+        v, e, in_regime = _asymptotic_series(ms[near], p, xs[near])
+        ok = in_regime & (e <= tol * np.abs(v))
+        values[near[ok]], errs[near[ok]], methods[near[ok]] = v[ok], e[ok], "asymptotic"
+        rest[near[ok]] = False
+    if rest.any():
+        values[rest], errs[rest] = _quad_vmp(ms[rest], (1.0 - p) / p, z[rest], tol)
+        errs[rest] += _ulp_slack(values[rest])
+        methods[rest] = "quadrature"
+    return values, errs, methods
 
 
 def eval_vmp(params: EvalParams, tol: float = DEFAULT_TOL) -> EvalResult:
-    """Evaluate V_m^p(x) with automatic method selection."""
-    _check_tol(tol)
-    m, p, x = params.m, params.p, params.x
-
-    if m == -1:
-        try:
-            value = x ** (1.0 - p)
-        except OverflowError:
-            raise ConvergenceError(f"V_-1 = x^(1-p) overflows a double at x = {x}") from None
-        return EvalResult(value, _ulp_slack(value), "convention")
-    if p == 1:
-        return EvalResult(1.0, _ulp_slack(1.0), "closed_form_inv_p")
-    if x == 0:
-        return eval_vm0(m, p)
-    n = _inv_p_integer(p)
-    if n is not None:
-        value = eval_closed_form_inv_p(m, n, x)
-        # no coefficient's gamma ratio errs by more than the leading one's
-        lead, lead_err = gamma_ratio(m + n, m + 1.0)
-        return EvalResult(value, value * lead_err / lead + _ulp_slack(value) * n,
-                          "closed_form_inv_p")
-    z = _x_pow(x, p)  # inf only at p > 1, where the series then gives x^(1-p)
-    if p > 1 and z > 2.0 * (m + 2.0):
-        try:
-            res = eval_asymptotic(params)
-            if res.abs_err_estimate <= tol * abs(res.value):
-                return res
-        except AsymptoticRegimeError:
-            pass
-    integral, err = _quad_vmp(m, (1.0 - p) / p, z, tol)
-    gamma_m1, gamma_err = gamma_ratio(m + 1.0)
-    value = integral / gamma_m1
-    return EvalResult(value, (err + value * gamma_err) / gamma_m1 + _ulp_slack(value),
-                      "quadrature")
+    """Evaluate V_m^p(x) with automatic method selection: `eval_vmp_many`
+    at the one point x."""
+    values, errs, methods = eval_vmp_many(params.m, params.p, (params.x,), tol)
+    return EvalResult(float(values[0]), float(errs[0]), methods[0])
 
 
 def vmp(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -371,12 +330,10 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     """Fourier transform of V_m (p = 2 only):
 
         F_m(xi) = (4^(m+1)/sqrt(2 pi)) int_0^inf s^m e^(-s) (xi^2 + 4s)^(-(m+1)) ds
-                = Gamma(m+1)/sqrt(2 pi) K(m, -(m+1), xi^2/4)
-                = Gamma(m+1) U(m+1, 1, xi^2/4) / sqrt(2 pi),
+                = Gamma(m+1) K(m, -(m+1), xi^2/4) / sqrt(2 pi),
 
-    since 4^(m+1) (xi^2 + 4s)^(-(m+1)) = (xi^2/4 + s)^(-(m+1)); K is the
-    quadrature kernel that also gives V_m^p.  The integrand behaves like
-    s^(-1) near 0 when xi = 0, for every m, so xi = 0 is always rejected.
+    the kernel of V_m^p, with the log normaliser log sqrt(2 pi).  The
+    integrand behaves like s^(-1) near 0 when xi = 0, so xi = 0 is rejected.
     """
     _check_finite(m=m, xi=xi)
     if m <= -1:
@@ -384,6 +341,5 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     if xi == 0:
         raise DomainError("the transform integral diverges at xi = 0")
     _check_tol(tol)
-    integral, err = _quad_vmp(m, -(m + 1.0), 0.25 * xi * xi, tol)
-    value = integral / math.sqrt(2.0 * math.pi)
-    return EvalResult(value, err / math.sqrt(2.0 * math.pi) + _ulp_slack(value), "quadrature")
+    value, err = _quad_vmp(m, -(m + 1.0), [0.25 * xi * xi], tol, 0.5 * math.log(2.0 * math.pi))
+    return EvalResult(float(value[0]), float(err[0] + _ulp_slack(value[0])), "quadrature")

@@ -10,8 +10,9 @@ class DomainError(RegpotError, ValueError):
 
 
 class ConvergenceError(RegpotError):
-    """No double-precision value to the requested tolerance: the quadrature
-    budget ran out, or the value or an intermediate overflows a double."""
+    """No double-precision value to the requested tolerance: the tolerance is
+    out of the quadrature's reach, the value overflows a double, or x^p
+    underflows to 0 where the integral diverges."""
 
 
 class AsymptoticRegimeError(RegpotError):

@@ -30,6 +30,7 @@ from .errors import BracketError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
 
+_ANCHOR_DPS_STEP = 16
 _PQ_VARS = ("y", "s")
 _T_VARS = ("z", "s")
 
@@ -85,39 +86,25 @@ def build_tildeP(m: int) -> PolyFamilyEntry:
     return _build("tildeP", m)
 
 
-# ---------------------------------------------------------------- coefficients
-
-def explicit_P_coeffs(m: int, p: float) -> list[float]:
-    """Numeric coefficients b_0..b_m of P_m at s = 1/p from the closed form
-
-        b_k = (-1)^k Gamma(m + 1/p - k) / (k! (m-k)! Gamma(1/p)).
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if p <= 0:
-        raise DomainError(f"p must be positive, got {p}")
-    s = 1.0 / p
-    out = []
-    for k in range(m + 1):
-        val = gamma_ratio(m + s - k, k + 1, m - k + 1, s)[0]
-        out.append(val if k % 2 == 0 else -val)
-    return out
-
-
 # ---------------------------------------------------------------- evaluation
+
+def _exact_s(p: float) -> Fraction:
+    """1/p as a Fraction: exact when p is an integer, else the double."""
+    return Fraction(1, int(p)) if float(p).is_integer() else Fraction(1.0 / p)
+
 
 def _exact_y_s(p: float, x: float) -> tuple[Fraction, Fraction]:
     """(x^p, 1/p) as Fractions: exact when p is an integer, else the doubles."""
-    if float(p).is_integer():
-        return Fraction(x) ** int(p), Fraction(1, int(p))
-    return Fraction(x ** p), Fraction(1.0 / p)
+    y = Fraction(x) ** int(p) if float(p).is_integer() else Fraction(x ** p)
+    return y, _exact_s(p)
 
 
 @functools.lru_cache(maxsize=512)
 def _y_coeffs(family: str, m: int, s: Fraction) -> tuple[tuple[int, ...], int]:
-    """P_m or Q_m (`family`) at the exact s as a polynomial in y: integer
-    numerators of the coefficients of y^0..y^m over one common denominator."""
-    poly = (build_P if family == "P" else build_Q)(m).poly
+    """P_m, Q_m or tilde-P_m (`family`) at the exact s as a polynomial in its
+    first variable (y, or z for tilde-P): integer numerators of the
+    coefficients of its powers 0..m over one common denominator."""
+    poly = _build(family, m).poly
     cs = [Fraction(0)] * (m + 1)
     for (k, j), c in poly.coeffs.items():
         cs[k] += c * s ** j
@@ -149,9 +136,13 @@ def _log10_abs(q: Fraction) -> float:
     return math.log10(abs(q.numerator)) - math.log10(q.denominator)
 
 
+@functools.lru_cache(maxsize=8)
 def _anchor_v0_hp(y: Fraction, s: Fraction, dps: int):
     """V_0 = e^y Gamma(s, y), with y = x^p and s = 1/p, at `dps` digits, for
-    the polynomial combination; at s = 1/2 this is sqrt(pi) e^y erfc(sqrt(y))."""
+    the polynomial combination; at s = 1/2 this is sqrt(pi) e^y erfc(sqrt(y)).
+    The last few are kept: an m-family at one x asks for the same V_0 at a
+    dps that grows with m, and `eval_via_polynomials` rounds dps up to a
+    multiple of _ANCHOR_DPS_STEP so that one anchor serves several m."""
     with mp.workdps(dps):
         y = _mpf(y)
         if s == Fraction(1, 2):
@@ -196,7 +187,7 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
     # 30-digit floor absorbs its error.
     log_cond = _log10_abs(P) + (float(s) - 1.0) * (_log10_abs(yv + 1) - _log10_abs(yv + mi))
     dps = 30 + int(max(log_cond, 0.0))
-    v0 = _anchor_v0_hp(yv, s, dps)
+    v0 = _anchor_v0_hp(yv, s, -(-dps // _ANCHOR_DPS_STEP) * _ANCHOR_DPS_STEP)
     with mp.workdps(dps):
         return float(_mpf(P) * v0 + _mpf(yv) ** _mpf(s) * _mpf(Q))
 
@@ -295,15 +286,20 @@ def hypergeometric_check(m: int, p: float, y: float,
 def tildeP_roots(m: int, p: float) -> float | None:
     """For odd m, the unique real root z_m of tilde-P_m(.; 1/p) in [-m+1, 0],
     found by bisection to 1e-12 absolute.  For even m returns None after
-    asserting positivity on a sample grid.
+    asserting positivity on a sample grid.  The polynomial in z is collapsed
+    at s = 1/p exactly and its coefficients rounded once, then evaluated by
+    Horner's rule.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    s = 1.0 / p
-    poly = build_tildeP(m).poly
+    nums, den = _y_coeffs("tildeP", m, _exact_s(p))
+    coeffs = [n / den for n in reversed(nums)]
 
     def f(z: float) -> float:
-        return float(sum(float(c) * z ** e[0] * s ** e[1] for e, c in poly.coeffs.items()))
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * z + c
+        return acc
 
     if m % 2 == 0:
         lo = -float(m)

@@ -14,9 +14,9 @@ downward below it; a chain is seeded there and run outward both ways.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from .core import DEFAULT_TOL, EvalParams, _x_pow, eval_vm0, eval_vmp
+from .core import DEFAULT_TOL, eval_vm0, eval_vmp_many
 from .errors import DomainError
 
 
@@ -34,38 +34,54 @@ def recur(ns, s, y, prev2, prev1) -> list:
     return out
 
 
-def chain_values(m_max: int, p: float, x: float, tol: float = DEFAULT_TOL) -> list[float]:
+def chain_values(m_max: int, p: float, x, tol: float = DEFAULT_TOL):
     """[V_0, ..., V_m_max] by the recursion, seeded by V_(k-1) and V_k at the
     turning point k = ceil(x^p + 1 - 1/p), clamped to [1, m_max], and run
-    upward and downward from there, in each of which V_m is dominant."""
+    upward and downward from there, in each of which V_m is dominant.
+
+    A scalar x gives a list of floats.  An array of x gives an array of
+    shape (m_max + 1, len(x)): every seed comes from one `eval_vmp_many`
+    call, and the points that share k run the recursion on numpy rows."""
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
-    if x <= 0:
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs > 0):
         raise DomainError(f"chain requires x > 0, got {x}")
     if not p > 0:  # before 1/p, and a nan p would make k nan
         raise DomainError(f"p must be positive, got {p}")
-    xp = _x_pow(x, p)
+    with np.errstate(over="ignore"):
+        xp = xs ** p  # inf where x^p overflows a double
     inv_p = 1.0 / p
     # clamped in floats first: x^p may be inf
-    k = math.ceil(min(max(xp + 1.0 - inv_p, 1.0), m_max))
-    out = [0.0] * (m_max + 1)
-    out[k - 1] = eval_vmp(EvalParams(float(k - 1), p, x), tol).value
-    out[k] = eval_vmp(EvalParams(float(k), p, x), tol).value
-    out[k + 1:] = recur(range(k + 1, m_max + 1), inv_p, xp, out[k - 1], out[k])
-    for m in range(k, 1, -1):
-        # the same step with x^p divided out, so it also holds where x^p overflows
-        out[m - 2] = out[m - 1] + (m * out[m] - (m - 1.0 + inv_p) * out[m - 1]) / xp
-    return out
+    ks = np.ceil(np.clip(xp + 1.0 - inv_p, 1.0, m_max)).astype(int)
+    out = np.empty((m_max + 1, xs.size))
+    cols = np.arange(xs.size)
+    seeds = eval_vmp_many(np.concatenate([ks - 1, ks]), p, np.tile(xs, 2), tol)[0]
+    out[ks - 1, cols], out[ks, cols] = seeds[:xs.size], seeds[xs.size:]
+    for k in np.unique(ks):
+        at = np.flatnonzero(ks == k)
+        y, rows = xp[at], out[:, at]
+        if k < m_max:
+            rows[k + 1:] = recur(range(k + 1, m_max + 1), inv_p, y, rows[k - 1], rows[k])
+        for m in range(k, 1, -1):
+            # the same step with x^p divided out, so it also holds where x^p overflows
+            rows[m - 2] = rows[m - 1] + (m * rows[m] - (m - 1.0 + inv_p) * rows[m - 1]) / y
+        out[:, at] = rows
+    return out[:, 0].tolist() if scalar else out
 
 
-def averaged_potential(N: int, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
+def averaged_potential(N: int, p: float, x, tol: float = DEFAULT_TOL):
     """V_av^(p,N)(x) = (1/N) sum_{m=0}^{N-1} V_m^p(x), the mean of one
-    `chain_values` chain, seeded at the turning point m ~ x^p + 1 - 1/p."""
+    `chain_values` chain, seeded at the turning point m ~ x^p + 1 - 1/p; a
+    float for a scalar x, an array for an array of x."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    if x <= 0:
+    if not np.all(np.asarray(x) > 0):
         raise DomainError(f"averaged potential requires x > 0, got {x}")
-    return sum(chain_values(max(N - 1, 1), p, x, tol)[:N]) / N
+    chain = np.asarray(chain_values(max(N - 1, 1), p, x, tol))
+    mean = chain[:N].sum(axis=0) / N
+    return float(mean) if np.ndim(x) == 0 else mean
 
 
 def averaged_at_zero(N: int, p: float) -> float:

@@ -184,7 +184,8 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_large_m_is_clean_error(capsys):
-    code = cli.main(["eval", "--m", "200", "--p", "2", "--x", "1"])
+    # V = Gamma(1200)/Gamma(201) + ... at p = 1/1000 is past the double range
+    code = cli.main(["eval", "--m", "200", "--p", "0.001", "--x", "1"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "overflows" in err

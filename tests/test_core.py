@@ -2,9 +2,12 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import simpson_fourier, simpson_vmp, vm0_oracle
 from regpot import bounds, cli, polys, recursion
@@ -168,28 +171,90 @@ def test_non_finite_input_is_domain_error(bad):
         eval_fourier_transform(1.0, 1.0, tol=bad)
 
 
-def test_large_m_overflow_is_convergence_error():
-    # Gamma(m + 1) overflows a double from m ~ 170.6
+REF_DPS = 50  # 30-digit hyperu is wrong at large non-integer m: 4.5e27 for 0.0564 at (233.19, 80.9)
+
+
+def _v_ref(m, p, x):
+    """V_m^p(x) = x^(pm+1) U(m+1, m+1+1/p, x^p) (DLMF 13.4.4), V_m^p(0) =
+    Gamma(m+1/p)/Gamma(m+1), as an mpf at REF_DPS digits."""
+    with mpmath.workdps(REF_DPS):
+        m, p, x = mpmath.mpf(m), mpmath.mpf(p), mpmath.mpf(x)
+        if x == 0:
+            return +(mpmath.gamma(m + 1 / p) / mpmath.gamma(m + 1))
+        return +(x ** (p * m + 1) * mpmath.hyperu(m + 1, m + 1 + 1 / p, x ** p))
+
+
+def _f_ref(m, xi):
+    """Gamma(m+1) U(m+1, 1, xi^2/4) / sqrt(2 pi) as an mpf at REF_DPS digits."""
+    with mpmath.workdps(REF_DPS):
+        m, xi = mpmath.mpf(m), mpmath.mpf(xi)
+        return +(mpmath.gamma(m + 1) * mpmath.hyperu(m + 1, 1, xi * xi / 4)
+                 / mpmath.sqrt(2 * mpmath.pi))
+
+
+def _assert_honest(res, want):
+    with mpmath.workdps(REF_DPS):
+        assert abs(mpmath.mpf(res.value) - want) <= res.abs_err_estimate
+
+
+def test_large_m_answers_within_its_estimate():
+    # Gamma(m + 1) overflows a double from m ~ 170.6, but V and the Fourier
+    # transform do not: the kernel keeps lgamma(m+1) inside its exponent
     for m in (171.0, 200.0, 600.0):
+        _assert_honest(eval_vmp(EvalParams(m, 2.0, 1.0)), _v_ref(m, 2.0, 1.0))
+        _assert_honest(eval_fourier_transform(m, 1.0), _f_ref(m, 1.0))
+    # at tiny p the integral Gamma(m+1) K is past the double range, V is not
+    _assert_honest(eval_vmp(EvalParams(120.0, 0.0156, 1.0)), _v_ref(120.0, 0.0156, 1.0))
+
+
+# an estimate the old kernel missed (off by 5.3e-11 against 4.5e-12), an input
+# below its reach ("panel budget exhausted"), one that a one-level stop of the
+# trapezoid kernel misses (1.03e-13 against 9.6e-14), and the edge inputs past
+# Gamma(m + 1)'s overflow
+HONESTY_ROWS = ([(1.134, 3.0, 0.005383, 1e-10), (8.15, 0.75, 2.238, 1e-14),
+                 (1.0, 3.0, 0.0072638, 1e-12)]
+                + [(m, 2.0, x, 1e-10) for m in (171.0, 200.0) for x in (0.01, 1.0)])
+
+
+@pytest.mark.parametrize("m, p, x, tol", HONESTY_ROWS)
+def test_error_estimate_is_honest_at_known_misses(m, p, x, tol):
+    _assert_honest(eval_vmp(EvalParams(m, p, x), tol), _v_ref(m, p, x))
+
+
+_TOLS = st.floats(-15.0, -6.0).map(lambda e: 10.0 ** e)
+_MS = st.one_of(st.floats(-0.9999, 20.0), st.floats(20.0, 250.0), st.integers(0, 30).map(float))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_MS, p=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]),
+                          st.floats(0.1, 10.0)),
+       x=st.one_of(st.just(0.0), st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e)), tol=_TOLS)
+def test_error_estimate_is_honest_over_the_domain(m, p, x, tol):
+    # whatever the method, |value - reference| <= abs_err_estimate, with tol
+    # down to 1e-15, where the estimate may then exceed tol |V|
+    assume(x > 0 or m > -1.0 / p)
+    want = _v_ref(m, p, x)
+    if want > sys.float_info.max:
         with pytest.raises(ConvergenceError, match="overflows"):
-            eval_vmp(EvalParams(m, 2.0, 1.0))
-        with pytest.raises(ConvergenceError, match="overflows"):
-            eval_fourier_transform(m, 1.0)
-    # at tiny p the integral Gamma(m+1) K leaves the double range first
-    with pytest.raises(ConvergenceError, match="overflows"):
-        eval_vmp(EvalParams(120.0, 0.0156, 1.0))
+            eval_vmp(EvalParams(m, p, x), tol)
+    else:
+        _assert_honest(eval_vmp(EvalParams(m, p, x), tol), want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=_MS, xi=st.floats(-4.0, 1.3).map(lambda e: 10.0 ** e), tol=_TOLS)
+def test_fourier_error_estimate_is_honest_over_the_domain(m, xi, tol):
+    # xi <= 20: the reference's hyperu takes seconds at m ~ 230 and xi ~ 60
+    _assert_honest(eval_fourier_transform(m, xi, tol), _f_ref(m, xi))
 
 
 def test_large_m_asymptotic_dispatch_still_answers():
-    # x^p well past 2(m + 2): the asymptotic series answers before any overflow.
-    # Reference: V_m^2(x) = x^(2m+1) U(m+1, m+3/2, x^2) at 30 digits
+    # x^p well past 2(m + 2): the asymptotic series answers before any overflow
     x = 50.0
     for m in (171.0, 200.0):
         res = eval_vmp(EvalParams(m, 2.0, x))
         assert res.method == "asymptotic"
-        with mpmath.workdps(30):
-            want = float(mpmath.mpf(x) ** (2 * m + 1) * mpmath.hyperu(m + 1, m + 1.5, x * x))
-        assert abs(res.value - want) <= res.abs_err_estimate
+        _assert_honest(res, _v_ref(m, 2.0, x))
 
 
 TRICOMI_ROWS = ([(m, 2.0, x) for m in (130.0, 150.0, 170.0) for x in (0.01, 1.0)]
@@ -205,16 +270,12 @@ def test_quadrature_matches_tricomi_u(m, p, x):
     # [0, 1] panel at u ~ 0, off by ~(m+1) while claiming ~eps.  At p = 0.08
     # and at m ~ -1 with p = 0.7 the tolerance scale (z+|m|+1)^c was far
     # from the integral (panel budget exhausted; 1.3e-9 off); at
-    # (1, 2.391, 0.002188) the head's kink at u ~ z fooled the error estimate.
-    # Reference, DLMF 13.4.4: V_m^p(x) = z^(m+1+c) U(m+1, m+2+c, z) with
-    # z = x^p and c = (1-p)/p, at 30 digits
+    # (1, 2.391, 0.002188) the head's kink at u ~ z fooled the error estimate
     res = eval_vmp(EvalParams(m, p, x))
     assert res.method == "quadrature"
-    with mpmath.workdps(30):
-        z, c = mpmath.mpf(x) ** p, (1 - mpmath.mpf(p)) / p
-        want = float(z ** (m + 1 + c) * mpmath.hyperu(m + 1, m + 2 + c, z))
-    assert rel(res.value, want) < 1e-9
-    assert abs(res.value - want) <= res.abs_err_estimate
+    want = _v_ref(m, p, x)
+    assert rel(res.value, float(want)) < 1e-9
+    _assert_honest(res, want)
 
 
 @pytest.mark.parametrize("call, want, rtol", [
@@ -280,20 +341,12 @@ def test_fourier_rejects_zero_frequency():
             eval_fourier_transform(m, 0.0)
 
 
-def _fourier_ref(m, xi):
-    """Gamma(m+1) U(m+1, 1, xi^2/4) / sqrt(2 pi) at 30 digits."""
-    with mpmath.workdps(30):
-        m, xi = mpmath.mpf(m), mpmath.mpf(xi)
-        return float(mpmath.gamma(m + 1) * mpmath.hyperu(m + 1, 1, xi * xi / 4)
-                     / mpmath.sqrt(2 * mpmath.pi))
-
-
 @pytest.mark.parametrize("m", [-0.9999, -0.999, -0.5, 0.0, 0.5, 2.0, 6.0, 10.0, 15.0, 20.0])
 def test_fourier_transform_matches_tricomi_u(m):
     # the transform once took a tolerance scale up to 1e18 above the value
     # (off by up to 0.43 at m = 15, 20) and failed to converge at xi = 1e-4
     for xi in (1e-4, 0.01, 0.1, 1.0, 10.0, 100.0):
         res = eval_fourier_transform(m, xi, 1e-11)
-        want = _fourier_ref(m, xi)
-        assert rel(res.value, want) <= 1e-9
-        assert abs(res.value - want) <= res.abs_err_estimate
+        want = _f_ref(m, xi)
+        assert rel(res.value, float(want)) <= 1e-9
+        _assert_honest(res, want)

@@ -7,17 +7,30 @@ import mpmath
 import pytest
 
 from regpot import polys
-from regpot.core import EvalParams, eval_vmp
+from regpot.core import EvalParams, eval_vmp, gamma_ratio
 from regpot.polys import (P_root_nonneg, build_P, build_Q, build_tildeP,
                           derivative_identities_check, eval_via_polynomials,
-                          explicit_P_coeffs, hypergeometric_check,
-                          ode_residual_check, sum_identity_check, tildeP_roots)
+                          hypergeometric_check, ode_residual_check,
+                          sum_identity_check, tildeP_roots)
 from regpot.errors import DomainError
 from regpot.ratpoly import RatPoly
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def explicit_P_coeffs(m: int, p: float) -> list[float]:
+    """Numeric coefficients b_0..b_m of P_m at s = 1/p from the closed form
+
+        b_k = (-1)^k Gamma(m + 1/p - k) / (k! (m-k)! Gamma(1/p)).
+    """
+    s = 1.0 / p
+    out = []
+    for k in range(m + 1):
+        val = gamma_ratio(m + s - k, k + 1, m - k + 1, s)[0]
+        out.append(val if k % 2 == 0 else -val)
+    return out
 
 
 def test_base_cases():
@@ -137,6 +150,7 @@ def test_high_precision_anchor_needs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(polys.mp, "quad", no_quad)
     monkeypatch.setattr(polys.mp, "gammainc", counting_gammainc)
+    polys._anchor_v0_hp.cache_clear()  # an anchor kept from an earlier call would hide the calls
     for m in range(1, 21):
         got = eval_via_polynomials(float(m), 3.0, 6.1)
         want = eval_vmp(EvalParams(float(m), 3.0, 6.1), 1e-12).value
