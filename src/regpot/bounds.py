@@ -15,6 +15,7 @@ from .errors import BracketError, DomainError
 from .recursion import chain_values
 
 SLACK = 1e-9
+CONVEXITY_SLACK = 1e-7  # on (1/V)'', where 2 V'^2 and V V'' cancel
 
 
 # ---------------------------------------------------------------- report type
@@ -164,8 +165,8 @@ def h3(x: float) -> float:
     return 2.0 * x * num / den
 
 
-def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """A root of f in [lo, hi] to `tol` absolute; f(lo) and f(hi) must not
+def bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] to 1e-12 absolute; f(lo) and f(hi) must not
     share a sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -174,7 +175,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -268,8 +269,8 @@ def convexity_criterion_poly(m: float, x: float, z: float) -> float:
 
 
 def verify_convexity_reciprocal(m: int, p: float, grid: list[float] | None = None,
-                                tol: float = 1e-12, fd_slack: float = 1e-7) -> Report:
-    """Convexity of 1/V_m: (1/V)'' >= -fd_slack, plus the algebraic criterion
+                                tol: float = 1e-12) -> Report:
+    """Convexity of 1/V_m: (1/V)'' >= -CONVEXITY_SLACK, plus the algebraic criterion
     P(R_m(x)) < 0 when p = 2.  Both come from one chain per grid: with
     V_m' = p x^(p-1) (V_m - V_(m-1)), exact at m = 0 with V_(-1) = x^(1-p),
 
@@ -294,7 +295,7 @@ def verify_convexity_reciprocal(m: int, p: float, grid: list[float] | None = Non
     second = (2.0 * d1 * d1 - v * d2) / v ** 3
     ratios = v / v1 if m >= 1 and p == 2 else None
     for i, x in enumerate(grid):
-        rep.record(second[i] >= -fd_slack, float(second[i]), index=i, m=m, p=p, x=x,
+        rep.record(second[i] >= -CONVEXITY_SLACK, float(second[i]), index=i, m=m, p=p, x=x,
                    kind="exact")
         if ratios is not None:
             crit = convexity_criterion_poly(float(m), x, float(ratios[i]))

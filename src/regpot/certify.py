@@ -1,9 +1,12 @@
 """Exact-rational replay of the polynomial positivity certificates.
 
-Each chain works in the quadratic extension ring of elements a + b*B over
-RatPoly, with B^2 = q(y, m) fixed per chain.  The reduction procedure
-repeatedly multiplies the derivative by B (or 2B) to stay inside the ring;
-every multiplier is recorded, so the final polynomial L is a documented
+Each of the paper's ratio-bound proofs squares out one radical inequality
+into W = wa + wb B with B = sqrt(q), written once for all four chains
+(`_radical`), and then removes B by B-multiplied derivatives: `b_step` maps
+the parts (a, b) of a + b B to those of B d/dy(a + b B).  The three p = 2
+chains are one generic-k construction (`_p2_parts`) taken at k = 4, at
+k = 8 and at symbolic k; the p = 3 chain brings its own q, r, A and C.
+Every multiplier is recorded, so the final polynomial L is a documented
 positive multiple along the derivative chain.  Reconstructed polynomials
 are compared coefficient-by-coefficient against the reference tables in
 `_reference`; any discrepancy raises ChainMismatchError naming the first
@@ -16,69 +19,19 @@ the certificates in `notes["square_guard"]`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from . import _reference as ref
 from .bounds import G_k_m_p, G_k_m_p_deriv
+from .core import _check_finite
 from .errors import ChainMismatchError, DomainError
 from .ratpoly import RatPoly
 
 VARS_YM = ("y", "m")
 VARS_YMK = ("y", "m", "k")
-
-
-class ExtensionElement:
-    """a + b*B with B^2 = q, all three RatPoly over the same variables."""
-
-    __slots__ = ("a", "b", "q")
-
-    def __init__(self, a: RatPoly, b: RatPoly, q: RatPoly):
-        if not (a.vars == b.vars == q.vars):
-            raise ValueError("component variable mismatch")
-        self.a = a
-        self.b = b
-        self.q = q
-
-    def _check(self, other: "ExtensionElement"):
-        if self.q != other.q:
-            raise ValueError("elements live in different extensions")
-
-    def __add__(self, other: "ExtensionElement") -> "ExtensionElement":
-        self._check(other)
-        return ExtensionElement(self.a + other.a, self.b + other.b, self.q)
-
-    def __sub__(self, other: "ExtensionElement") -> "ExtensionElement":
-        self._check(other)
-        return ExtensionElement(self.a - other.a, self.b - other.b, self.q)
-
-    def __mul__(self, other: "ExtensionElement") -> "ExtensionElement":
-        self._check(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return ExtensionElement(a1 * a2 + b1 * b2 * self.q, a1 * b2 + a2 * b1, self.q)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtensionElement)
-                and self.q == other.q and self.a == other.a and self.b == other.b)
-
-    def norm(self) -> RatPoly:
-        """(a + bB)(a - bB) = a^2 - b^2 q."""
-        return self.a * self.a - self.b * self.b * self.q
-
-    def diff_times_B(self) -> "ExtensionElement":
-        """B * d/dy (a + bB) = (b' q + b q'/2) + a' B.
-
-        The 1/(2B) appearing in d/dy(bB) is cleared by the B multiplier;
-        the division by 2 stays exact in Fraction arithmetic.
-        """
-        qp = self.q.diff("y")
-        return ExtensionElement(
-            self.b.diff("y") * self.q + self.b * qp * Fraction(1, 2),
-            self.a.diff("y"), self.q)
-
-    def __repr__(self):
-        return f"ExtensionElement(a={self.a!r}, b={self.b!r})"
+_YM = tuple(RatPoly.var(VARS_YM, v) for v in VARS_YM)
 
 
 @dataclass(frozen=True)
@@ -98,8 +51,7 @@ class PositivityCertificate:
             "m_low": self.m_low,
             "status": self.status,
             "witness": list(self.witness) if self.witness else None,
-            "min_shifted_coeff": [str(self.min_coeff.numerator),
-                                  str(self.min_coeff.denominator)],
+            "min_shifted_coeff": [str(self.min_coeff.numerator), str(self.min_coeff.denominator)],
         }
 
 
@@ -146,8 +98,7 @@ def positivity_for_m_ge(poly: RatPoly, m_low: int) -> PositivityCertificate:
     for expo, c in sorted(shifted.coeffs.items()):
         if c < 0:
             return PositivityCertificate(poly, m_low, "sign_indefinite", expo, c)
-    return PositivityCertificate(poly, m_low, "all_coeffs_nonneg", None,
-                                 shifted.min_coeff())
+    return PositivityCertificate(poly, m_low, "all_coeffs_nonneg", None, shifted.min_coeff())
 
 
 # -- construction helpers ---------------------------------------------
@@ -155,17 +106,9 @@ def positivity_for_m_ge(poly: RatPoly, m_low: int) -> PositivityCertificate:
 
 def _match(name: str, derived: RatPoly, reference: RatPoly):
     if derived != reference:
-        diff = derived - reference
-        expo = next(iter(sorted(diff.coeffs)))
-        raise ChainMismatchError(
-            name, f"first differing monomial {expo}: "
-                  f"derived {derived.coeff(expo)}, reference {reference.coeff(expo)}")
-
-
-def _ym():
-    y = RatPoly.var(VARS_YM, "y")
-    m = RatPoly.var(VARS_YM, "m")
-    return y, m
+        expo = min((derived - reference).coeffs)
+        raise ChainMismatchError(name, f"first differing monomial {expo}: derived "
+                                       f"{derived.coeff(expo)}, reference {reference.coeff(expo)}")
 
 
 def _square_guard(q: RatPoly, r: RatPoly, label: str) -> dict:
@@ -183,46 +126,60 @@ def _square_guard(q: RatPoly, r: RatPoly, label: str) -> dict:
 # -- the four chains --------------------------------------------------
 
 
+def _radical(q: RatPoly, r: RatPoly, A: RatPoly, C: RatPoly,
+             lin: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """(wa, wb) of W = wa + wb B, with B^2 = q: the squared-out radical
+    inequality W = q r (lin^2 + q) - q A^2 - C^2 + 2 (lin q r - A C) B that
+    each chain reduces.  The chains differ only in sign and scale."""
+    qr = q * r
+    return qr * (lin * lin + q) - q * A * A - C * C, 2 * (lin * qr - A * C)
+
+
+def _p2_parts(y: RatPoly, m: RatPoly, k) -> tuple[RatPoly, ...]:
+    """(q, r, A, C, lin) of the p = 2 chains, with k an int or the variable k.
+    C is P/2 of the symbolic-k proof, so the k = 4 and k = 8 chains are that
+    proof at k = 4 and 8."""
+    q = (y + m) ** 2 + k * y
+    r = (y + m - 1) ** 2 + k * y
+    A = (y + m) ** 2 + y - (k - 1) * m
+    C = ((k - 1) * m ** 2 - m ** 3 + (k * k - 2 * k) * y / 2 + ((k - 3) * m ** 2 - 2 * m) * y
+         + (k * k - k - 1 + (2 * k - 3) * m) * y ** 2 + (k - 1) * y ** 3)
+    return q, r, A, C, (k - 1) * y - m
+
+
+def b_step(a: RatPoly, b: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """The parts of B d/dy (a + b B) = (b' q + b q'/2) + a' B, with B^2 = q:
+    the B multiplier clears the 1/(2B) of d/dy(b B), and q'/2 stays exact."""
+    return b.diff("y") * q + b * q.diff("y") * Fraction(1, 2), a.diff("y")
+
+
 def build_chain_k4_p2() -> ChainResult:
     """k = 4, p = 2 reduction chain, every polynomial matched to its reference.
 
-    Chain: F = f1 B - f2, then four B-multiplied derivative steps giving
-    (d1, d2), (g1, g2), (h1, h2), (l1, l2), and finally L = q l1^2 - l2^2.
+    Chain: F = f1 B - f2 = W/8, then four B-multiplied derivative steps giving
+    d1 - d2 B, g1 B - g2, h1 - h2 B and l1 B - l2, each part matched before
+    the next step, and finally L = q l1^2 - l2^2.
     """
-    y, m = _ym()
-    q = (y + m) ** 2 + 4 * y
-    r = (y + m - 1) ** 2 + 4 * y
-    s = 3 * m ** 2 + 4 * y + 11 * y ** 2 + m ** 2 * y + 5 * m * y ** 2 + 3 * y ** 3
-    t = 2 * m * y + m ** 3
-    h = (y + m) ** 2 + y - 3 * m
-    big = (3 * y - m) ** 2 + q
-    wa = q * r * big - q * h * h - (s - t) ** 2
-    wb = 2 * (3 * y - m) * q * r - 2 * h * (s - t)
-    f1 = wb * Fraction(1, 8)
-    f2 = -wa * Fraction(1, 8)
+    y, m = _YM
+    q, r, A, C, lin = _p2_parts(y, m, 4)
+    wa, wb = _radical(q, r, A, C, lin)
+    f1, f2 = wb / 8, -wa / 8
     _match("f1", f1, RatPoly(VARS_YM, ref.K4_F1))
     _match("f2", f2, RatPoly(VARS_YM, ref.K4_F2))
     guard = _square_guard(q, r, "k4p2")
 
-    el = ExtensionElement(-f2, f1, q)
-    el = el.diff_times_B()            # d1 - d2 B
-    d1, d2 = el.a, -el.b
-    _match("d1", d1, RatPoly(VARS_YM, ref.K4_D1))
-    _match("d2", d2, RatPoly(VARS_YM, ref.K4_D2))
-    el = el.diff_times_B()            # -g2 + g1 B
-    g1, g2 = el.b, -el.a
-    _match("g1", g1, RatPoly(VARS_YM, ref.K4_G1))
-    _match("g2", g2, RatPoly(VARS_YM, ref.K4_G2))
-    el = el.diff_times_B()            # h1 - h2 B
-    h1, h2 = el.a, -el.b
-    _match("h1", h1, RatPoly(VARS_YM, ref.K4_H1))
-    _match("h2", h2, RatPoly(VARS_YM, ref.K4_H2))
-    el = el.diff_times_B()            # -l2 + l1 B
-    l1, l2 = el.b, -el.a
-    _match("l1", l1, RatPoly(VARS_YM, ref.K4_L1))
-    _match("l2", l2, RatPoly(VARS_YM, ref.K4_L2))
-
-    L = -el.norm()                    # q l1^2 - l2^2
+    steps = (("d", ref.K4_D1, ref.K4_D2), ("g", ref.K4_G1, ref.K4_G2),
+             ("h", ref.K4_H1, ref.K4_H2), ("l", ref.K4_L1, ref.K4_L2))
+    polys = {"f1": f1, "f2": f2}
+    a, b = -f2, f1
+    for i, (name, ref1, ref2) in enumerate(steps):
+        a, b = b_step(a, b, q)
+        p1, p2 = (a, -b) if i % 2 == 0 else (b, -a)
+        polys[name + "1"], polys[name + "2"] = p1, p2
+        _match(name + "1", p1, RatPoly(VARS_YM, ref1))
+        _match(name + "2", p2, RatPoly(VARS_YM, ref2))
+    l1, l2, h1, h2 = polys["l1"], polys["l2"], polys["h1"], polys["h2"]
+    L = q * l1 * l1 - l2 * l2
     _match("L", L, 4 * RatPoly(VARS_YM, ref.K4_L4))
 
     # H(0) = h1(0) - m h2(0) since B(0) = m; must equal 12m(2 + 5m + 2m^2)
@@ -235,34 +192,25 @@ def build_chain_k4_p2() -> ChainResult:
         "L/4 coeff m^2": str(L.coeff((0, 2)) / 4),
         "H(0)": h_at_0.pretty(),
     }
-    return ChainResult("k4p2", q, {
-        "f1": f1, "f2": f2, "d1": d1, "d2": d2, "g1": g1, "g2": g2,
-        "h1": h1, "h2": h2, "l1": l1, "l2": l2, "L": L,
-    }, ["B", "B", "B", "B"], anchors, cert, {"square_guard": guard})
+    return ChainResult("k4p2", q, {**polys, "L": L}, ["B", "B", "B", "B"], anchors, cert,
+                       {"square_guard": guard})
 
 
 def build_chain_k8_p2() -> ChainResult:
-    """k = 8, p = 2 chain: L(0) = 0 and L'(0) carries the sign; the
-    certificate is for L''(y) with m >= 4, and L'(0) < 0 for m in {1,2,3}."""
-    y, m = _ym()
-    q = (y + m) ** 2 + 8 * y
-    r = (y + m - 1) ** 2 + 8 * y
-    A = (y + m) ** 2 + y - 7 * m
-    C = (7 * m ** 2 - m ** 3 + 24 * y - 2 * m * y + 5 * m ** 2 * y
-         + 55 * y ** 2 + 13 * m * y ** 2 + 7 * y ** 3)
-    big = (7 * y - m) ** 2 + q
-    wa = q * A * A + C * C - q * r * big
-    wb = 2 * A * C - 2 * (7 * y - m) * q * r
-    f1 = wa * Fraction(1, 8)
-    f2 = -wb * Fraction(1, 8)
+    """k = 8, p = 2 chain from f1 - f2 B = -W/8: L(0) = 0 and L'(0) carries
+    the sign; the certificate is for L''(y) with m >= 4, and L'(0) < 0 for
+    m in {1,2,3}."""
+    y, m = _YM
+    q, r, A, C, lin = _p2_parts(y, m, 8)
+    wa, wb = _radical(q, r, A, C, lin)
+    f1, f2 = -wa / 8, wb / 8
     guard = _square_guard(q, r, "k8p2")
 
-    el = ExtensionElement(f1, -f2, q)
-    el = el.diff_times_B()            # -d2 + d1 B
-    d1, d2 = el.b, -el.a
-    el = el.diff_times_B()            # e1 - e2 B
-    e1, e2 = el.a, -el.b
-    L = el.norm()                     # e1^2 - q e2^2
+    a, b = b_step(f1, -f2, q)          # -d2 + d1 B
+    d1, d2 = b, -a
+    a, b = b_step(a, b, q)             # e1 - e2 B
+    e1, e2 = a, -b
+    L = e1 * e1 - q * e2 * e2
 
     L_at_0 = L.subs("y", 0)
     if not L_at_0.is_zero():
@@ -283,103 +231,85 @@ def build_chain_k8_p2() -> ChainResult:
         "L'(0) factored": "192*m^2*(m-4)*(1+2*m)*(480+64*m+90*m^2+33*m^3)",
         "L'(0) at m=5": str(Lp_at_0.eval(y=0, m=5)),
     }
-    return ChainResult("k8p2", q, {
-        "f1": f1, "f2": f2, "d1": d1, "d2": d2, "e1": e1, "e2": e2,
-        "L": L, "Lprime": Lp, "Lsecond": Lpp,
-    }, ["B", "B"], anchors, cert,
-        {"square_guard": guard,
-         "Lprime0_m123": {str(k): str(v) for k, v in lp0_small.items()}})
+    polys = {"f1": f1, "f2": f2, "d1": d1, "d2": d2, "e1": e1, "e2": e2,
+             "L": L, "Lprime": Lp, "Lsecond": Lpp}
+    return ChainResult("k8p2", q, polys, ["B", "B"], anchors, cert, {
+        "square_guard": guard, "Lprime0_m123": {str(k): str(v) for k, v in lp0_small.items()}})
 
 
 def optimality_factor_generic_k() -> RatPoly:
-    """Symbolic-k chain: three 2B-multiplied derivative steps (three
-    B-multiplied ones, times 2^3), then the value at y = 0 (where B = m),
-    which must factor as 24 k^3 m (1 + 2m) (km - 6m - k)."""
-    y = RatPoly.var(VARS_YMK, "y")
-    m = RatPoly.var(VARS_YMK, "m")
-    k = RatPoly.var(VARS_YMK, "k")
-    q = (y + m) ** 2 + k * y
-    r = (y + m - 1) ** 2 + k * y
-    A2 = 2 * (y + (y + m) ** 2 - (k - 1) * m)
-    P = (-2 * m ** 2 + 2 * k * m ** 2 - 2 * m ** 3 - 2 * k * y + k * k * y
-         - 4 * m * y - 6 * m ** 2 * y + 2 * k * m ** 2 * y - 2 * y ** 2
-         - 2 * k * y ** 2 + 2 * k * k * y ** 2 - 6 * m * y ** 2
-         + 4 * k * m * y ** 2 - 2 * y ** 3 + 2 * k * y ** 3)
-    big = ((k - 1) * y - m) ** 2 + q
-    f1 = q * A2 * A2 + P * P - 4 * q * r * big
-    f2 = -(2 * A2 * P - 8 * ((k - 1) * y - m) * q * r)
+    """Symbolic-k chain from f1 - f2 B = -4W: three 2B-multiplied derivative
+    steps (three B-multiplied ones, times 2^3), then the value at y = 0
+    (where B = m), which must factor as 24 k^3 m (1 + 2m) (km - 6m - k)."""
+    y, m, k = (RatPoly.var(VARS_YMK, v) for v in VARS_YMK)
+    q, r, A, C, lin = _p2_parts(y, m, k)
+    wa, wb = _radical(q, r, A, C, lin)
+    f1, f2 = -4 * wa, 4 * wb
     _match("f1", f1, RatPoly(VARS_YMK, ref.GK_F1))
     _match("f2", f2, RatPoly(VARS_YMK, ref.GK_F2))
 
-    el = ExtensionElement(f1, -f2, q)
+    a, b = f1, -f2
     for _ in range(3):
-        el = el.diff_times_B()
-    value0 = 8 * (el.a.subs("y", 0) + m * el.b.subs("y", 0))
+        a, b = b_step(a, b, q)
+    value0 = 8 * (a.subs("y", 0) + m * b.subs("y", 0))
     target = 24 * k ** 3 * m * (1 + 2 * m) * (k * m - 6 * m - k)
     _match("value_at_0", value0, target)
     return value0
 
 
+def build_chain_generic_k() -> ChainResult:
+    """The symbolic-k chain as a ChainResult wrapping its optimality factor."""
+    factor = optimality_factor_generic_k()
+    anchors = {
+        "factored form": "24*k^3*m*(1+2*m)*(k*m-6*m-k)",
+        "value at (m=2,k=12)": str(factor.eval(y=0, m=2, k=12)),
+        "value at (m=4,k=8)": str(factor.eval(y=0, m=4, k=8)),
+    }
+    q = RatPoly.var(VARS_YMK, "y")  # placeholder; factor has no radical left
+    return ChainResult("generic_k", q, {"factor": factor}, ["2B", "2B", "2B"], anchors)
+
+
 def build_chain_p3_k4() -> ChainResult:
-    """p = 3, k = 4 chain with B^2 = 9(y+m)^2 + 48y; four B-multiplied steps
-    end at (1944 l1, 1944 l2); certificate for L with m >= 1."""
-    y, m = _ym()
-    p = 3
-    q = p * p * (y + m) ** 2 + 8 * p * (p - 1) * y
-    r = p * p * (y + m - 1) ** 2 + 8 * p * (p - 1) * y
-    A = p * (p * (y + m) ** 2 + (5 * p - 8) * y - 3 * p * m)
-    C = p * p * (3 * p * m ** 2 - p * m ** 3
-                 + (-8 + 8 * m + 8 * p - 6 * m * p + p * m ** 2) * y
-                 + (-24 + 23 * p + 5 * m * p) * y ** 2 + 3 * p * y ** 3)
-    big = (3 * p * y - p * m) ** 2 + q
-    wa = q * r * big - q * A * A - C * C
-    wb = 2 * (3 * p * y - p * m) * q * r - 2 * A * C
+    """p = 3, k = 4 chain with B^2 = 9(y+m)^2 + 48y from W itself; four
+    B-multiplied steps end at (1944 l1, 1944 l2); certificate for L with
+    m >= 1."""
+    y, m = _YM
+    q = 9 * (y + m) ** 2 + 48 * y
+    r = 9 * (y + m - 1) ** 2 + 48 * y
+    A = 3 * (3 * (y + m) ** 2 + 7 * y - 9 * m)
+    C = 9 * (9 * m ** 2 - 3 * m ** 3 + (16 - 10 * m + 3 * m ** 2) * y
+             + (45 + 15 * m) * y ** 2 + 9 * y ** 3)
+    wa, wb = _radical(q, r, A, C, 9 * y - 3 * m)
     guard = _square_guard(q, r, "p3k4")
 
-    el = ExtensionElement(wa, wb, q)
+    a, b = wa, wb
     for _ in range(4):
-        el = el.diff_times_B()
-    l1 = el.b * Fraction(1, 1944)
-    l2 = -el.a * Fraction(1, 1944)
+        a, b = b_step(a, b, q)
+    l1, l2 = b / 1944, -a / 1944
     _match("l1", l1, RatPoly(VARS_YM, ref.P3_L1))
     _match("l2", l2, RatPoly(VARS_YM, ref.P3_L2))
 
-    L = -el.norm() / 1944 ** 2         # q l1^2 - l2^2
+    L = q * l1 * l1 - l2 * l2
     cert = positivity_for_m_ge(L, 1)
     anchors = {
         "l1/3 coeff y^4": str(l1.coeff((4, 0)) / 3),
         "l2/27 coeff y^5": str(l2.coeff((5, 0)) / 27),
         "l1/3 constant": str(l1.coeff((0, 0)) / 3),
     }
-    return ChainResult("p3k4", q, {
-        "wa": wa, "wb": wb, "l1": l1, "l2": l2, "L": L,
-    }, ["B", "B", "B", "B"], anchors, cert, {"square_guard": guard})
+    return ChainResult("p3k4", q, {"wa": wa, "wb": wb, "l1": l1, "l2": l2, "L": L},
+                       ["B", "B", "B", "B"], anchors, cert, {"square_guard": guard})
 
 
-ALL_CHAINS = ("k4p2", "k8p2", "generic_k", "p3k4")
+_BUILDERS = {"k4p2": build_chain_k4_p2, "k8p2": build_chain_k8_p2,
+             "generic_k": build_chain_generic_k, "p3k4": build_chain_p3_k4}
+ALL_CHAINS = tuple(_BUILDERS)
 
 
-def run_chain(name: str):
-    """Dispatch one chain by name; returns ChainResult or, for generic_k,
-    a ChainResult wrapping the optimality factor."""
-    if name == "k4p2":
-        return build_chain_k4_p2()
-    if name == "k8p2":
-        return build_chain_k8_p2()
-    if name == "p3k4":
-        return build_chain_p3_k4()
-    if name == "generic_k":
-        factor = optimality_factor_generic_k()
-        anchors = {
-            "factored form": "24*k^3*m*(1+2*m)*(k*m-6*m-k)",
-            "value at (m=2,k=12)": str(factor.eval(y=0, m=2, k=12)),
-            "value at (m=4,k=8)": str(factor.eval(y=0, m=4, k=8)),
-        }
-        cert = None
-        q = RatPoly.var(VARS_YMK, "y")  # placeholder; factor has no radical left
-        return ChainResult("generic_k", q, {"factor": factor}, ["2B", "2B", "2B"],
-                           anchors, cert, {})
-    raise DomainError(f"unknown chain {name!r}; choose from {ALL_CHAINS}")
+def run_chain(name: str) -> ChainResult:
+    """Build one chain by name."""
+    if name not in _BUILDERS:
+        raise DomainError(f"unknown chain {name!r}; choose from {ALL_CHAINS}")
+    return _BUILDERS[name]()
 
 
 def certificate_json(result: ChainResult) -> str:
@@ -402,6 +332,7 @@ def numeric_lemma_sweep(k: float, p: float, m_list: list, y_grid: list,
     contiguous negative intervals; E >= 0 everywhere means the bound's
     induction step holds on the grid.
     """
+    _check_finite(k=k, p=p)
     if orientation is None:
         orientation = "lower" if k >= 8 else "upper"
     if orientation not in ("upper", "lower"):
@@ -414,32 +345,13 @@ def numeric_lemma_sweep(k: float, p: float, m_list: list, y_grid: list,
     for m in m_list:
         if m < 1:
             raise DomainError(f"sweep requires m >= 1, got {m}")
-        min_e = math.inf
-        min_y = None
-        intervals: list[tuple[float, float]] = []
-        run_start = None
-        prev_y = None
-        for yv in ys:
-            g_m = G_k_m_p(k, m, p, yv)
-            g_m1 = G_k_m_p(k, m - 1, p, yv)
-            e = sign * ((g_m / g_m1 - 1.0) - G_k_m_p_deriv(k, m, p, yv))
-            if e < min_e:
-                min_e, min_y = e, yv
-            if e < 0:
-                if run_start is None:
-                    run_start = yv
-            else:
-                if run_start is not None:
-                    intervals.append((run_start, prev_y))
-                    run_start = None
-            prev_y = yv
-        if run_start is not None:
-            intervals.append((run_start, prev_y))
-        out["per_m"][m] = {
-            "min_E": min_e,
-            "argmin_y": min_y,
-            "negative_intervals": intervals,
-            "ok": not intervals,
-        }
+        es = [sign * ((G_k_m_p(k, m, p, yv) / G_k_m_p(k, m - 1, p, yv) - 1.0)
+                      - G_k_m_p_deriv(k, m, p, yv)) for yv in ys]
+        i = min(range(len(es)), key=es.__getitem__)
+        runs = [[yv for yv, _ in run]
+                for neg, run in groupby(zip(ys, es), key=lambda ye: ye[1] < 0) if neg]
+        intervals = [(run[0], run[-1]) for run in runs]
+        out["per_m"][m] = {"min_E": es[i], "argmin_y": ys[i],
+                           "negative_intervals": intervals, "ok": not intervals}
     out["all_nonnegative"] = all(v["ok"] for v in out["per_m"].values())
     return out

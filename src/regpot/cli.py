@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, certify, polys, recursion
-from .core import DEFAULT_TOL, EvalParams, eval_vmp, eval_vmp_many
+from .core import DEFAULT_TOL, EvalParams, _check_finite, eval_vmp, eval_vmp_many
 from .errors import ChainMismatchError, DomainError, RegpotError
 
 EXIT_OK = 0
@@ -50,13 +50,22 @@ def fmt_human(v: float) -> str:
     return format(v, ".10g")
 
 
+def _parse_number(text: str, kind: type = float):
+    """kind(text), float or int, with a DomainError for malformed text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Grid spec 'start,stop,count,scale' with scale linear|geometric."""
     parts = spec.split(",")
     if len(parts) != 4:
         raise DomainError(f"grid spec must be start,stop,count,scale; got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    start, stop = _parse_number(parts[0]), _parse_number(parts[1])
+    _check_finite(start=start, stop=stop)
+    count = _parse_number(parts[2], int)
     scale = parts[3].strip()
     if count < 2:
         raise DomainError(f"grid count must be >= 2, got {count}")
@@ -76,8 +85,12 @@ def _emit(text: str, out: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write --out {out}: {exc.strerror}\n")
+            raise SystemExit(EXIT_USAGE) from None
 
 
 # ---------------------------------------------------------------- subcommands
@@ -249,7 +262,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    m_list = [int(v) for v in args.m_list.split(",")]
+    m_list = [_parse_number(v, int) for v in args.m_list.split(",")]
     grid = _parse_grid(args.grid)
     rep = certify.numeric_lemma_sweep(args.k, args.p, m_list, grid,
                                       orientation=args.orientation)

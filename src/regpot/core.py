@@ -29,12 +29,20 @@ from .errors import AsymptoticRegimeError, ConvergenceError, DomainError
 DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
+_SERIES_TERMS = 40  # terms of the large-x series before its truncation
 
 
 def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _check_p(p: float, **values: float) -> None:
+    """p finite and positive, and the other values finite."""
+    _check_finite(p=p, **values)
+    if p <= 0:
+        raise DomainError(f"p must be positive, got {p}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +54,7 @@ class EvalParams:
     x: float
 
     def __post_init__(self):
-        _check_finite(m=self.m, p=self.p, x=self.x)
-        if self.p <= 0:
-            raise DomainError(f"p must be positive, got {self.p}")
+        _check_p(self.p, m=self.m, x=self.x)
         if self.m < -1:
             raise DomainError(f"m must be >= -1, got {self.m}")
         if self.x < 0:
@@ -181,11 +187,11 @@ def _quad_vmp(m, c: float, z, tol: float, log_norm: float | None = None):
 # ---------------------------------------------------------------- closed forms
 
 def eval_vm0(m: float, p: float) -> EvalResult:
-    """V_m^p(0) = Gamma(m + 1/p) / Gamma(m + 1)."""
-    if p <= 0:
-        raise DomainError(f"p must be positive, got {p}")
-    if m <= -1.0 / p:
-        raise DomainError(f"V_m^p(0) requires m > -1/p, got m={m}, p={p}")
+    """V_m^p(0) = Gamma(m + 1/p) / Gamma(m + 1), or 0 by the convention
+    V_-1 = x^(1-p) at m = -1, p < 1."""
+    EvalParams(m, p, 0.0)
+    if m == -1:
+        return EvalResult(0.0, 0.0, "convention")
     value, abs_err = gamma_ratio(m + 1.0 / p, m + 1.0)
     return EvalResult(value, abs_err, "closed_form_inv_p")
 
@@ -197,9 +203,10 @@ def eval_closed_form_inv_p(m: float, n: int, x):
         raise DomainError(f"n must be an integer >= 2, got {n}")
     if m <= -1:
         raise DomainError(f"m must be > -1, got {m}")
-    if np.any(np.asarray(x) < 0):
-        raise DomainError(f"x must be nonnegative, got {x}")
-    t = np.asarray(x, dtype=float) ** (1.0 / n)
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs >= 0)):
+        raise DomainError(f"x must be finite and nonnegative, got {x}")
+    t = xs ** (1.0 / n)
     acc = 0.0
     with np.errstate(over="ignore"):
         # Gamma(m + 1 + j), not Gamma(m + n - k): at m ~ -1 the rounding of
@@ -211,12 +218,12 @@ def eval_closed_form_inv_p(m: float, n: int, x):
     return float(acc) if np.ndim(x) == 0 else acc
 
 
-def _asymptotic_series(ms: np.ndarray, p: float, xs: np.ndarray, max_terms: int = 40):
+def _asymptotic_series(ms: np.ndarray, p: float, xs: np.ndarray):
     """(values, estimates, in_regime) of `eval_asymptotic`'s series at every
     (m, x) of the arrays ms and xs; out of regime where the first correction
     is not smaller than the leading term."""
-    j = np.arange(max_terms + 1.0)
-    factors = np.ones((xs.size, max_terms + 2))
+    j = np.arange(_SERIES_TERMS + 1.0)
+    factors = np.ones((xs.size, _SERIES_TERMS + 2))
     with np.errstate(over="ignore", under="ignore"):
         factors[:, 1:] = (((1.0 - p) / p - j) / (j + 1.0) * (ms[:, None] + 1.0 + j)
                           * xs[:, None] ** -p)
@@ -237,7 +244,7 @@ def _asymptotic_series(ms: np.ndarray, p: float, xs: np.ndarray, max_terms: int 
     return values, lead * size[rows, k + 1] + _ulp_slack(values), size[:, 1] < 1.0
 
 
-def eval_asymptotic(params: EvalParams, max_terms: int = 40) -> EvalResult:
+def eval_asymptotic(params: EvalParams) -> EvalResult:
     """Optimally truncated large-x expansion (p > 1 only).
 
     V ~ x^(1-p) * sum_j binom((1-p)/p, j) * (m+1)_j * x^(-jp); the error
@@ -248,7 +255,7 @@ def eval_asymptotic(params: EvalParams, max_terms: int = 40) -> EvalResult:
         raise DomainError(f"asymptotic series requires p > 1, got p={p}")
     if x <= 0:
         raise DomainError("asymptotic series requires x > 0")
-    values, errs, in_regime = _asymptotic_series(np.array([m]), p, np.array([x]), max_terms)
+    values, errs, in_regime = _asymptotic_series(np.array([m]), p, np.array([x]))
     if not in_regime[0]:
         raise AsymptoticRegimeError(f"first correction not smaller than leading term at x={x}")
     return EvalResult(float(values[0]), float(errs[0]), "asymptotic")
@@ -334,6 +341,9 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
 
     the kernel of V_m^p, with the log normaliser log sqrt(2 pi).  The
     integrand behaves like s^(-1) near 0 when xi = 0, so xi = 0 is rejected.
+    Where xi^2/4 = z overflows a double, the answer is the leading term
+    Gamma(m+1) z^-(m+1) / sqrt(2 pi), taken in logs: (1 + u/z)^-(m+1) lies in
+    [1 - (m+1) u/z, 1], so its relative error is below (m+1)^2 / z.
     """
     _check_finite(m=m, xi=xi)
     if m <= -1:
@@ -341,5 +351,13 @@ def eval_fourier_transform(m: float, xi: float, tol: float = DEFAULT_TOL) -> Eva
     if xi == 0:
         raise DomainError("the transform integral diverges at xi = 0")
     _check_tol(tol)
-    value, err = _quad_vmp(m, -(m + 1.0), [0.25 * xi * xi], tol, 0.5 * math.log(2.0 * math.pi))
+    log_norm = 0.5 * math.log(2.0 * math.pi)
+    if math.isinf(0.25 * xi * xi):
+        log_z, lg = 2.0 * math.log(abs(xi)) - math.log(4.0), math.lgamma(m + 1.0)
+        value = math.exp(lg - (m + 1.0) * log_z - log_norm)
+        rel_err = (math.exp(2.0 * math.log1p(m) - log_z)
+                   + _EPS * (abs(lg) + 2.0 * (m + 1.0) * log_z + log_norm + 10.0))
+        # a value below the double range rounds to at most the least subnormal
+        return EvalResult(value, value * rel_err + math.ulp(0.0), "asymptotic")
+    value, err = _quad_vmp(m, -(m + 1.0), [0.25 * xi * xi], tol, log_norm)
     return EvalResult(float(value[0]), float(err[0] + _ulp_slack(value[0])), "quadrature")

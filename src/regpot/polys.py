@@ -25,12 +25,13 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bounds import bisect
-from .core import DEFAULT_TOL, EvalParams, _check_tol, _x_pow, eval_vmp, gamma_ratio
+from .core import DEFAULT_TOL, EvalParams, _check_p, _check_tol, _x_pow, eval_vmp, gamma_ratio
 from .errors import BracketError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
 
 _ANCHOR_DPS_STEP = 16
+_KUMMER_TERMS = 200  # terms of the 1F1 series in `hypergeometric_check`
 _PQ_VARS = ("y", "s")
 _T_VARS = ("z", "s")
 
@@ -251,8 +252,7 @@ def sum_identity_check(m: int) -> bool:
     return lhs_Q.is_zero()
 
 
-def hypergeometric_check(m: int, p: float, y: float,
-                         budget: int = 200) -> tuple[float, float]:
+def hypergeometric_check(m: int, p: float, y: float) -> tuple[float, float]:
     """(P_m(y; 1/p), Kummer form) pair; they agree when p != 1/n.
 
     rhs = e^(-y) 1F1(1 - 1/p, 1 - 1/p - m, y) / (m B(m, 1/p)), with the 1F1
@@ -260,6 +260,7 @@ def hypergeometric_check(m: int, p: float, y: float,
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    _check_p(p, y=y)
     s = 1.0 / p
     if abs(s - round(s)) < 1e-12:
         raise DomainError("Kummer form requires p != 1/n (lower parameter pole)")
@@ -269,13 +270,13 @@ def hypergeometric_check(m: int, p: float, y: float,
     lhs = float(build_P(m).poly.eval(y=Fraction(y), s=Fraction(s)))
     a = 1.0 - s
     total, term = 1.0, 1.0
-    for j in range(budget):
+    for j in range(_KUMMER_TERMS):
         term *= (a + j) / (c + j) * y / (j + 1)
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
     else:
-        raise SeriesBudgetError(f"1F1 series did not converge in {budget} terms")
+        raise SeriesBudgetError(f"1F1 series did not converge in {_KUMMER_TERMS} terms")
     inv_beta = gamma_ratio(m + s, m, s)[0]
     rhs = inv_beta / m * math.exp(-y) * total
     return lhs, rhs
@@ -292,6 +293,7 @@ def tildeP_roots(m: int, p: float) -> float | None:
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    _check_p(p)
     nums, den = _y_coeffs("tildeP", m, _exact_s(p))
     coeffs = [n / den for n in reversed(nums)]
 

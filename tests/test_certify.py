@@ -1,4 +1,4 @@
-"""Extension-ring arithmetic and the positivity certification chains."""
+"""The B-multiplied derivative step and the positivity certification chains."""
 
 import json
 import math
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regpot import _reference as ref
-from regpot.certify import (ALL_CHAINS, ExtensionElement, PositivityCertificate,
-                            _square_guard, build_chain_k4_p2, build_chain_k8_p2,
+from regpot.certify import (ALL_CHAINS, PositivityCertificate, _square_guard, b_step,
+                            build_chain_k4_p2, build_chain_k8_p2,
                             build_chain_p3_k4, certificate_json,
                             numeric_lemma_sweep, optimality_factor_generic_k,
                             positivity_for_m_ge, run_chain)
@@ -30,56 +30,29 @@ def small_polys(draw):
     return RatPoly(VARS, coeffs)
 
 
-@st.composite
-def elements(draw):
-    return ExtensionElement(draw(small_polys()), draw(small_polys()), Q)
-
-
-@given(elements(), elements(), elements())
-@settings(max_examples=100, deadline=None)
-def test_ring_axioms(e1, e2, e3):
-    assert (e1 * e2) * e3 == e1 * (e2 * e3)
-    assert e1 * (e2 + e3) == e1 * e2 + e1 * e3
-    assert e1 * e2 == e2 * e1
-
-
-@given(elements())
-@settings(max_examples=100, deadline=None)
-def test_norm_multiplicative(e):
-    assert (e * e).norm() == e.norm() ** 2
-
-
-def element_value(e, **values) -> float:
+def part_value(a, b, **values) -> float:
     """a + b B as a float, with B = +sqrt(q) (q >= 0 at the point)."""
-    return (float(e.a.eval(**values))
-            + float(e.b.eval(**values)) * math.sqrt(float(e.q.eval(**values))))
+    return (float(a.eval(**values))
+            + float(b.eval(**values)) * math.sqrt(float(Q.eval(**values))))
 
 
-@given(elements())
+@given(small_polys(), small_polys())
 @settings(max_examples=30, deadline=None)
-def test_derivative_step_is_a_derivative(e):
+def test_derivative_step_is_a_derivative(a, b):
     # B * d/dy(a + b B) evaluated numerically must match a finite difference
-    # of the element's value times sqrt(q)
+    # of the value of a + b B times sqrt(q)
     y0, m0 = 0.7, 2.0
-    stepped = e.diff_times_B()
+    stepped = b_step(a, b, Q)
     qv = float(Q.eval(y=Fraction(7, 10), m=2))
-    got = element_value(stepped, y=Fraction(7, 10), m=2) / math.sqrt(qv)
+    got = part_value(*stepped, y=Fraction(7, 10), m=2) / math.sqrt(qv)
     h = 1e-6
 
     def val(yv):
         fy = Fraction(yv).limit_denominator(10 ** 12)
-        return element_value(e, y=fy, m=2)
+        return part_value(a, b, y=fy, m=2)
 
     fd = (val(y0 + h) - val(y0 - h)) / (2 * h)
     assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
-
-def test_element_guards():
-    other_q = RatPoly(VARS, {(1, 0): 1})
-    a = ExtensionElement(RatPoly(VARS), RatPoly(VARS), Q)
-    b = ExtensionElement(RatPoly(VARS), RatPoly(VARS), other_q)
-    with pytest.raises(ValueError):
-        _ = a + b
 
 
 # ---------------------------------------------------------------- certificates

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -150,6 +151,17 @@ def test_certify_p3k4_json(capsys):
     assert d["certificate"]["status"] == "all_coeffs_nonneg"
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "357754c9f8d112be0b19ce3afa42941acb61ec17f4c4f0f9eed12ad879799d97"),
+    ("human", "2b4c2f6e65c850fe13535558e3b0dc672958cc54d8d2bc587041e3f7f97760b1"),
+])
+def test_certify_all_output_is_pinned(capsys, fmt, digest):
+    # every chain's polynomials, certificates, anchors and notes, byte for byte
+    code, out = run(capsys, ["certify", "all", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------- roots, sweep
 
 def test_roots_table(capsys):
@@ -199,6 +211,23 @@ def test_non_finite_input_is_domain_error(capsys):
         err = capsys.readouterr().err
         assert code == 3
         assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["table", "--m", "0", "--p", "2", "--grid", "0,1,abc,linear"], 3),
+    (["table", "--m", "0", "--p", "2", "--grid", "0.1,1,3.5,linear"], 3),
+    (["table", "--m", "0", "--p", "2", "--grid", "0.1,inf,3,geometric"], 3),
+    (["sweep", "--k", "4", "--p", "2", "--m-list", "1,a"], 3),
+    (["sweep", "--k", "nan", "--p", "2"], 3),
+    (["sweep", "--k", "4", "--p", "inf"], 3),
+    (["eval", "--m", "0", "--p", "2", "--x", "1", "--out", "/nonexistent/dir/f"], 2),
+])
+def test_malformed_argv_exits_without_traceback(capsys, argv, want):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -37,6 +37,28 @@ def test_convention_m_minus_one():
     assert eval_vmp(EvalParams(-1.0, 3.0, 2.0)).value == 2.0 ** -2
 
 
+def test_value_at_zero_follows_the_convention_at_m_minus_one():
+    # V_-1 = x^(1-p) is 0 at x = 0 for p < 1, whichever entry point is asked
+    for p in (0.5, 0.9):
+        assert eval_vm0(-1.0, p) == eval_vmp(EvalParams(-1.0, p, 0.0))
+        assert eval_vm0(-1.0, p).value == 0.0
+
+
+@pytest.mark.parametrize("m, p", [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.inf),
+                                  (1.0, math.nan)])
+def test_value_at_zero_rejects_what_eval_params_rejects(m, p):
+    with pytest.raises(DomainError):
+        EvalParams(m, p, 0.0)
+    with pytest.raises(DomainError):
+        eval_vm0(m, p)
+
+
+def test_closed_form_rejects_non_finite_x():
+    for x in (math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            eval_closed_form_inv_p(1.0, 2, x)
+
+
 def test_p_equal_one_is_identically_one():
     for m in (-0.5, 0.0, 3.7):
         for x in (0.0, 1.0, 50.0):
@@ -333,6 +355,18 @@ def test_fourier_transform_matches_oracle():
         for xi in (0.5, 1.0, 4.0):
             got = eval_fourier_transform(m, xi, 1e-11)
             assert rel(got.value, simpson_fourier(m, xi)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [-0.999, -0.5, 1.0, 20.0])
+@pytest.mark.parametrize("xi", [1e155, 1e200, 1e300])
+def test_fourier_transform_where_xi_squared_overflows(m, xi):
+    # xi^2/4 overflows a double: the kernel once saw z = inf and failed with
+    # "tol 1e-10 is out of reach ... differ by nan"
+    want = _f_ref(m, xi)
+    res = eval_fourier_transform(m, xi)
+    _assert_honest(res, want)
+    if want > 1e-300:
+        assert rel(res.value, float(want)) <= 1e-12
 
 
 def test_fourier_rejects_zero_frequency():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from regpot import polys
+from regpot import cli, polys
 from regpot.core import EvalParams, eval_vmp, gamma_ratio
 from regpot.polys import (P_root_nonneg, build_P, build_Q, build_tildeP,
                           derivative_identities_check, eval_via_polynomials,
@@ -237,6 +237,23 @@ def test_tilde_roots():
         t = build_tildeP(m).poly
         val = float(t.eval(z=Fraction(z).limit_denominator(10 ** 15), s=Fraction(1, 2)))
         assert abs(val) < 1e-9
+
+
+@pytest.mark.parametrize("p", [0.0, math.nan, -2.0, math.inf])
+def test_p_outside_domain_is_domain_error(capsys, p):
+    # once a ZeroDivisionError, a bare ValueError, an untrue "unexpectedly
+    # negative" BracketError, and roots 0 at p = inf
+    for call in (lambda: tildeP_roots(3, p), lambda: tildeP_roots(4, p),
+                 lambda: P_root_nonneg(3, p), lambda: hypergeometric_check(2, p, 1.0)):
+        with pytest.raises(DomainError, match="p must be"):
+            call()
+    assert cli.main(["roots", "--p", repr(p), "--m-max", "3"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_hypergeometric_check_rejects_non_finite_y():
+    with pytest.raises(DomainError, match="y must be finite"):
+        hypergeometric_check(2, 2.5, math.nan)
 
 
 def test_p_root_shift():
