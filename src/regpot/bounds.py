@@ -71,10 +71,27 @@ def G_k_m(k: float, m: float, y: float) -> float:
     return G_k_m_p(k, m, 2.0, y)
 
 
+def _gkp_S(k: float, m: float, p: float, y: float) -> float:
+    """S = sqrt(p^2 (y+m)^2 + 2kp(p-1) y) of G_k^(m,p) = k p y / D, with
+    D = p((k-1) y - m) + S; inf where S^2 passes the double range."""
+    if k < 1 or m < 0 or p < 1 or y < 0:
+        raise DomainError(f"need k >= 1, m >= 0, p >= 1, xp >= 0; got {k}, {m}, {p}, {y}")
+    try:
+        return math.sqrt(p * p * (y + m) ** 2 + 2.0 * k * p * (p - 1.0) * y)
+    except OverflowError:
+        return math.inf
+
+
+def _gkp_scaled(k: float, m: float, p: float, y: float) -> tuple[float, float, float]:
+    """(S/(p y), D/(p y), m/y), the form that stays finite where S does not."""
+    r = m / y
+    sigma = math.sqrt((1.0 + r) * (1.0 + r) + 2.0 * k * (1.0 - 1.0 / p) / y)
+    return sigma, (k - 1.0) - r + sigma, r
+
+
 def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
     """General-p form; reduces to G_k^m at p = 2."""
-    if k < 1 or m < 0 or p < 1 or xp < 0:
-        raise DomainError(f"need k >= 1, m >= 0, p >= 1, xp >= 0; got {k}, {m}, {p}, {xp}")
+    S = _gkp_S(k, m, p, xp)
     if xp == 0:
         # y -> 0 limits: for p = 1 the whole function collapses to 1; for
         # m > 0 expand the square root to first order; for m = 0, p > 1 the
@@ -84,13 +101,20 @@ def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
         if m == 0:
             return 0.0
         return p * m / (p * m + (p - 1.0))
-    S = math.sqrt(p * p * (xp + m) ** 2 + 2.0 * k * p * (p - 1.0) * xp)
+    if S == math.inf:
+        return k / _gkp_scaled(k, m, p, xp)[1]
     return k * p * xp / (p * ((k - 1.0) * xp - m) + S)
 
 
 def G_k_m_p_deriv(k: float, m: float, p: float, y: float) -> float:
     """d/dy G_k^(m,p)(y), analytic."""
-    S = math.sqrt(p * p * (y + m) ** 2 + 2.0 * k * p * (p - 1.0) * y)
+    S = _gkp_S(k, m, p, y)
+    if S == math.inf:
+        # D - y D' = k p (p-1) y (1 - 2 p m / (p (y+m) + S)) / S, free of
+        # cancellation, and y^2 divided out one factor at a time
+        sigma, delta, r = _gkp_scaled(k, m, p, y)
+        return (k * k * (p - 1.0) * (1.0 - 2.0 * r / (1.0 + r + sigma))
+                / (p * sigma * delta * delta) / y / y)
     D = p * ((k - 1.0) * y - m) + S
     Dp = p * (k - 1.0) + (p * p * (y + m) + k * p * (p - 1.0)) / S
     return k * p * (D - y * Dp) / (D * D)

@@ -95,9 +95,10 @@ def positivity_for_m_ge(poly: RatPoly, m_low: int) -> PositivityCertificate:
     shifted = poly.shift("m", m_low)
     if shifted.is_zero():
         return PositivityCertificate(poly, m_low, "sign_indefinite", None, Fraction(0))
-    for expo, c in sorted(shifted.coeffs.items()):
-        if c < 0:
-            return PositivityCertificate(poly, m_low, "sign_indefinite", expo, c)
+    neg = min((k for k, c in shifted.terms.items() if c < 0), default=None)
+    if neg is not None:
+        return PositivityCertificate(poly, m_low, "sign_indefinite", shifted.unpack(neg),
+                                     Fraction(shifted.terms[neg], shifted.den))
     return PositivityCertificate(poly, m_low, "all_coeffs_nonneg", None, shifted.min_coeff())
 
 
@@ -106,7 +107,8 @@ def positivity_for_m_ge(poly: RatPoly, m_low: int) -> PositivityCertificate:
 
 def _match(name: str, derived: RatPoly, reference: RatPoly):
     if derived != reference:
-        expo = min((derived - reference).coeffs)
+        diff = derived - reference
+        expo = diff.unpack(min(diff.terms))
         raise ChainMismatchError(name, f"first differing monomial {expo}: derived "
                                        f"{derived.coeff(expo)}, reference {reference.coeff(expo)}")
 

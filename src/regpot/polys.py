@@ -106,11 +106,11 @@ def _y_coeffs(family: str, m: int, s: Fraction) -> tuple[tuple[int, ...], int]:
     first variable (y, or z for tilde-P): integer numerators of the
     coefficients of its powers 0..m over one common denominator."""
     poly = _build(family, m).poly
-    cs = [Fraction(0)] * (m + 1)
-    for (k, j), c in poly.coeffs.items():
-        cs[k] += c * s ** j
-    den = math.lcm(*(c.denominator for c in cs))
-    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+    at_s = poly.subs(poly.vars[1], s)
+    nums = [0] * (m + 1)
+    for key, c in at_s.terms.items():
+        nums[at_s.unpack(key)[0]] = c
+    return tuple(nums), at_s.den
 
 
 def _eval_y(family: str, m: int, s: Fraction, y: Fraction) -> Fraction:
@@ -256,7 +256,8 @@ def hypergeometric_check(m: int, p: float, y: float) -> tuple[float, float]:
     """(P_m(y; 1/p), Kummer form) pair; they agree when p != 1/n.
 
     rhs = e^(-y) 1F1(1 - 1/p, 1 - 1/p - m, y) / (m B(m, 1/p)), with the 1F1
-    summed by its raw term-ratio series.
+    summed by its raw term-ratio series.  DomainError where P_m(y) or the
+    1F1 sum passes the double range.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -267,7 +268,10 @@ def hypergeometric_check(m: int, p: float, y: float) -> tuple[float, float]:
     c = 1.0 - s - m
     if c <= 0 and abs(c - round(c)) < 1e-12:
         raise DomainError("lower 1F1 parameter is a nonpositive integer")
-    lhs = float(build_P(m).poly.eval(y=Fraction(y), s=Fraction(s)))
+    try:
+        lhs = float(_eval_y("P", m, Fraction(s), Fraction(y)))
+    except OverflowError:
+        raise DomainError(f"P_{m}({y}) is past the double range") from None
     a = 1.0 - s
     total, term = 1.0, 1.0
     for j in range(_KUMMER_TERMS):
@@ -277,6 +281,8 @@ def hypergeometric_check(m: int, p: float, y: float) -> tuple[float, float]:
             break
     else:
         raise SeriesBudgetError(f"1F1 series did not converge in {_KUMMER_TERMS} terms")
+    if not math.isfinite(total):
+        raise DomainError(f"the 1F1 sum at y = {y} is past the double range")
     inv_beta = gamma_ratio(m + s, m, s)[0]
     rhs = inv_beta / m * math.exp(-y) * total
     return lhs, rhs

@@ -1,81 +1,108 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Coefficients are `fractions.Fraction`; exponent vectors are tuples of
-nonnegative ints, one slot per named variable.  Arithmetic never rounds,
-which is what the identity checks and the positivity certificates rely on.
+`terms` maps a packed exponent (a 32-bit field per variable, the first one
+highest, so a monomial product is one int addition) to an int numerator over
+one common denominator `den`, kept reduced so that == compares dicts.
+Exponents stay below 2^31, and a product reaching 2^31 raises ValueError
+rather than carry into the next field.  Arithmetic never rounds, which is
+what the identity checks and the positivity certificates rely on.  `coeffs`
+is a read-only exponent tuple -> Fraction view, built when asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+_MAX_EXP = (1 << (_BITS - 1)) - 1
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+
+def _exact(c) -> Scalar:
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(c).__name__}")
+
+
+def _pack(expo: tuple) -> int:
+    return functools.reduce(lambda key, e: key << _BITS | e, expo, 0)
+
+
+def _new(variables: tuple, terms: dict, den: int) -> "RatPoly":
+    """terms / den, with no zero in terms, reduced."""
+    g = math.gcd(den, *terms.values()) if den != 1 else 1
+    r = object.__new__(RatPoly)
+    r.vars, r.den = variables, den // g
+    r.terms = terms if g == 1 else {k: c // g for k, c in terms.items()}
+    return r
 
 
 class RatPoly:
     """Exact polynomial in the variables named by `vars`."""
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, variables: Iterable[str], coeffs: Mapping[tuple, Scalar] | None = None):
         self.vars = tuple(variables)
-        clean: dict[tuple, Fraction] = {}
-        if coeffs:
-            n = len(self.vars)
-            for expo, c in coeffs.items():
-                expo = tuple(expo)
-                if len(expo) != n or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent vector {expo} for vars {self.vars}")
-                cf = _as_fraction(c)
-                if cf != 0:
-                    clean[expo] = clean.get(expo, Fraction(0)) + cf
-                    if clean[expo] == 0:
-                        del clean[expo]
-        self.coeffs = clean
+        acc: dict[int, Scalar] = {}
+        for expo, c in (coeffs or {}).items():
+            expo = tuple(expo)
+            if len(expo) != len(self.vars) or any(not 0 <= e <= _MAX_EXP for e in expo):
+                raise ValueError(f"bad exponent vector {expo} for vars {self.vars}")
+            key = _pack(expo)
+            acc[key] = acc.get(key, 0) + _exact(c)
+        # over the lcm of the reduced denominators no factor is common to all
+        self.den = math.lcm(*(c.denominator for c in acc.values()))
+        self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, variables, c) -> "RatPoly":
-        variables = tuple(variables)
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: _as_fraction(c)})
+        c = _exact(c)
+        return _new(tuple(variables), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, variables, name) -> "RatPoly":
         variables = tuple(variables)
         i = variables.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {expo: 1})
+        return cls(variables, {tuple(int(j == i) for j in range(len(variables))): 1})
 
     # -- basic queries ------------------------------------------------
 
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed key of `terms`."""
+        n = len(self.vars)
+        return tuple((key >> (_BITS * (n - 1 - i))) & _FIELD for i in range(n))
+
+    def _offset(self, name: str) -> int:
+        return _BITS * (len(self.vars) - 1 - self.vars.index(name))
+
+    @property
+    def coeffs(self) -> Mapping[tuple, Fraction]:
+        """Read-only view: exponent tuple -> Fraction coefficient."""
+        d = self.den
+        return MappingProxyType({self.unpack(k): Fraction(c, d) for k, c in self.terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def degree(self, name: str) -> int:
-        if not self.coeffs:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.coeffs)
+        sh = self._offset(name)
+        return max(((k >> sh) & _FIELD for k in self.terms), default=0)
 
     def coeff(self, expo: tuple) -> Fraction:
-        return self.coeffs.get(tuple(expo), Fraction(0))
+        return Fraction(self.terms.get(_pack(tuple(expo)), 0), self.den)
 
     def min_coeff(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return min(self.coeffs.values())
+        return Fraction(min(self.terms.values(), default=0), self.den)
 
     # -- ring operations ----------------------------------------------
 
@@ -83,62 +110,65 @@ class RatPoly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.constant(self.vars, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+    def _plus(self, other, sign: int) -> "RatPoly":
+        """self + sign * other, over the lcm of the denominators."""
+        if isinstance(other, RatPoly):
+            self._check(other)
+            o_terms, d2 = other.terms, other.den
+        elif isinstance(other, (int, Fraction)):
+            o_terms, d2 = {0: other.numerator} if other else {}, other.denominator
+        else:
+            return NotImplemented
+        den = self.den if self.den == d2 else math.lcm(self.den, d2)
+        f1, f2 = den // self.den, sign * (den // d2)
+        out = dict(self.terms) if f1 == 1 else {k: c * f1 for k, c in self.terms.items()}
+        for k, c in o_terms.items():
+            s = out.get(k, 0) + c * f2
+            if s:
+                out[k] = s
             else:
-                out[e] = s
-        r = RatPoly(self.vars)
-        r.coeffs = out
-        return r
+                del out[k]
+        return _new(self.vars, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatPoly(self.vars)
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return r
+        return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.constant(self.vars, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            r = RatPoly(self.vars)
-            if c != 0:
-                r.coeffs = {e: cc * c for e, cc in self.coeffs.items()}
-            return r
+            a = other.numerator
+            terms = {k: c * a for k, c in self.terms.items()} if a else {}
+            return _new(self.vars, terms, self.den * other.denominator)
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         self._check(other)
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = RatPoly(self.vars)
-        r.coeffs = out
-        return r
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        terms = {k: c for k, c in out.items() if c}
+        top_bits = ((1 << (_BITS * len(self.vars))) - 1) // _FIELD << (_BITS - 1)
+        if functools.reduce(int.__or__, terms, 0) & top_bits:
+            raise ValueError(f"exponent past {_MAX_EXP} in a product")
+        return _new(self.vars, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "RatPoly":
         """Division by an exact nonzero scalar."""
-        return self * (1 / _as_fraction(other))
+        return self * (Fraction(1) / _exact(other))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -148,83 +178,84 @@ class RatPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatPoly.constant(self.vars, other)
-        return isinstance(other, RatPoly) and self.vars == other.vars and self.coeffs == other.coeffs
+        return (isinstance(other, RatPoly) and self.vars == other.vars
+                and self.den == other.den and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     # -- calculus and substitution ------------------------------------
 
     def diff(self, name: str) -> "RatPoly":
-        i = self.vars.index(name)
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        r = RatPoly(self.vars)
-        r.coeffs = {e: c for e, c in out.items() if c != 0}
-        return r
+        sh = self._offset(name)
+        return _new(self.vars, {k - (1 << sh): c * ((k >> sh) & _FIELD)
+                                for k, c in self.terms.items() if (k >> sh) & _FIELD}, self.den)
+
+    def _translate(self, name: str, value: Scalar, keep: bool) -> "RatPoly":
+        """name -> name + value when `keep`, else name -> value, for an exact
+        scalar value = a/b: each term expands binomially, over den b^top."""
+        v = _exact(value)
+        a, b, sh, top = v.numerator, v.denominator, self._offset(name), self.degree(name)
+        a_pow = [a ** j for j in range(top + 1)]
+        b_pow = [b ** j for j in range(top + 1)]
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            e = (k >> sh) & _FIELD
+            for j in range(e + 1 if keep else 1):
+                kk = k - ((e - j) << sh)
+                out[kk] = out.get(kk, 0) + c * math.comb(e, j) * a_pow[e - j] * b_pow[top - e + j]
+        return _new(self.vars, {k: c for k, c in out.items() if c}, self.den * b_pow[top])
 
     def subs(self, name: str, value: "RatPoly | Scalar") -> "RatPoly":
         """Substitute a polynomial (or exact scalar) for one variable."""
-        if isinstance(value, (int, Fraction)):
-            value = RatPoly.constant(self.vars, value)
+        if isinstance(value, RatPoly) and value.terms.keys() <= {0}:
+            self._check(value)
+            value = Fraction(value.terms.get(0, 0), value.den)
+        if not isinstance(value, RatPoly):
+            return self._translate(name, value, keep=False)
         self._check(value)
-        i = self.vars.index(name)
-        # group by power of the substituted variable, then Horner
-        by_pow: dict[int, RatPoly] = {}
-        for e, c in self.coeffs.items():
-            k = e[i]
-            e2 = e[:i] + (0,) + e[i + 1:]
-            part = by_pow.setdefault(k, RatPoly(self.vars))
-            part.coeffs[e2] = part.coeffs.get(e2, Fraction(0)) + c
-        ks = sorted(by_pow, reverse=True)
-        result = RatPoly(self.vars, by_pow[ks[0]].coeffs) if ks else RatPoly(self.vars)
-        for k_prev, k in zip(ks, ks[1:]):
-            for _ in range(k_prev - k):
-                result = result * value
-            result = result + RatPoly(self.vars, by_pow[k].coeffs)
-        if ks:
-            for _ in range(ks[-1]):
-                result = result * value
+        sh, result = self._offset(name), RatPoly(self.vars)
+        for e in range(self.degree(name), -1, -1):  # Horner in `name`
+            part = {k - (e << sh): c for k, c in self.terms.items() if (k >> sh) & _FIELD == e}
+            result = result * value + _new(self.vars, part, self.den)
         return result
 
     def shift(self, name: str, offset: Scalar) -> "RatPoly":
         """Substitute name -> name + offset."""
-        repl = RatPoly.var(self.vars, name) + _as_fraction(offset)
-        return self.subs(name, repl)
+        return self._translate(name, offset, keep=True)
 
     def eval(self, **values):
-        """Fully numeric evaluation; exact iff all values are int/Fraction."""
+        """Fully numeric evaluation by Horner in each variable, the last
+        first; exact iff all values are int/Fraction."""
         missing = set(self.vars) - set(values)
         if missing:
             raise ValueError(f"missing values for {sorted(missing)}")
-        total = 0
-        for e, c in self.coeffs.items():
-            acc = 1
-            for name, k in zip(self.vars, e):
-                if k:
-                    acc = acc * values[name] ** k
-            total = total + c * acc
-        return total
+        acc = self.terms
+        for name in reversed(self.vars):
+            v, horner = values[name], {}
+            for k in sorted(acc, reverse=True):  # exponents down within each group
+                r, prev = horner.get(k >> _BITS, (0, k & _FIELD))
+                horner[k >> _BITS] = (r * v ** (prev - (k & _FIELD)) + acc[k], k & _FIELD)
+            acc = {hi: r * v ** e for hi, (r, e) in horner.items()}
+        total = acc.get(0, 0)
+        return Fraction(total, self.den) if isinstance(total, int) else total / self.den
 
     # -- presentation -------------------------------------------------
 
     def __repr__(self):
-        return f"RatPoly({self.vars}, {len(self.coeffs)} terms)"
+        return f"RatPoly({self.vars}, {len(self.terms)} terms)"
 
     def pretty(self) -> str:
         """Human-readable form, terms sorted by total degree then lexicographic."""
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         items = sorted(self.coeffs.items(), key=lambda ec: (sum(ec[0]), ec[0]))
         parts = []

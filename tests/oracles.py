@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately dumb: fixed-panel composite Simpson on a
-hard truncation of the defining integral, plus direct log-gamma arithmetic.
+hard truncation of the defining integral, direct log-gamma arithmetic, and
+schoolbook polynomial arithmetic on exponent-tuple dicts.
 None of the adaptive machinery from the package is imported, so agreement
 between the two is meaningful.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,3 +88,63 @@ def simpson_fourier(m: float, xi: float, panels: int = PANELS, U: float = TRUNCA
         f = 2.0 * t * np.exp(-s) * (xi2 + 4.0 * s) ** (-(m + 1.0))
         integral = _simpson(f, V)
     return 4.0 ** (m + 1.0) / math.sqrt(2.0 * math.pi) * integral
+
+
+# ---------------------------------------------------------------- polynomials
+#
+# A polynomial as a plain dict from exponent tuples to nonzero Fractions,
+# with schoolbook arithmetic: the oracle for RatPoly's packed form.
+
+def _poly_clean(d: dict) -> dict:
+    return {e: c for e, c in d.items() if c != 0}
+
+
+def poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _poly_clean(out)
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _poly_clean(out)
+
+
+def poly_pow(a: dict, n: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_diff(a: dict, i: int) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        if e[i]:
+            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[e2] = out.get(e2, 0) + c * e[i]
+    return _poly_clean(out)
+
+
+def poly_subs(a: dict, i: int, v: dict, nvars: int) -> dict:
+    """Variable i replaced by the polynomial v."""
+    out: dict = {}
+    for e, c in a.items():
+        rest = {e[:i] + (0,) + e[i + 1:]: c}
+        out = poly_add(out, poly_mul(rest, poly_pow(v, e[i], nvars)))
+    return out
+
+
+def poly_eval(a: dict, values: tuple):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = c
+        for v, k in zip(values, e):
+            term *= Fraction(v) ** k
+        total += term
+    return total

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from regpot import bounds
@@ -43,6 +44,32 @@ def test_G_derivatives_match_finite_difference():
     for (k, m, p, y) in [(4.0, 1.0, 3.0, 0.5), (4.0, 2.0, 5.0, 2.0)]:
         fd = (bounds.G_k_m_p(k, m, p, y + h) - bounds.G_k_m_p(k, m, p, y - h)) / (2 * h)
         assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(fd, rel=1e-6)
+
+
+def _G_ref(k, m, p, y):
+    """G_k^(m,p)(y) and its y-derivative at 50 digits."""
+    k, m, p = mp.mpf(k), mp.mpf(m), mp.mpf(p)
+
+    def G(t):
+        return k * p * t / (p * ((k - 1) * t - m) + mp.sqrt(p * p * (t + m) ** 2
+                                                             + 2 * k * p * (p - 1) * t))
+    with mp.workdps(50):
+        return G(mp.mpf(y)), mp.diff(G, mp.mpf(y))
+
+
+@pytest.mark.parametrize("k, m, p, y", [(4.0, 2.0, 2.0, 1e154), (8.0, 5.0, 3.0, 1e200),
+                                        (4.0, 1.0, 1e160, 10.0), (8.0, 3.0, 1e200, 0.5)])
+def test_G_past_the_double_range_of_S(k, m, p, y):
+    # S^2 overflows here: once a bare OverflowError from (y + m) ** 2 past
+    # y ~ 1e154, and 0 (G) or nan (its derivative) where p^2 overflows
+    g, dg = _G_ref(k, m, p, y)
+    assert bounds.G_k_m_p(k, m, p, y) == pytest.approx(float(g), rel=1e-14)
+    assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(float(dg), rel=1e-12, abs=1e-300)
+
+
+def test_G_deriv_domain():
+    with pytest.raises(DomainError):
+        bounds.G_k_m_p_deriv(4.0, 2.0, 2.0, -1.0)
 
 
 def test_jensen_regimes():

@@ -18,6 +18,9 @@ from regpot.errors import ChainMismatchError, DomainError
 from regpot.ratpoly import RatPoly
 
 VARS = ("y", "m")
+# L'(0) of the k = 8 chain, m-exponent -> coefficient: 192 m^2 (m - 4)(1 + 2m)
+# (480 + 64m + 90m^2 + 33m^3) expanded
+K8_LPRIME0 = {2: -368640, 3: -694272, 4: 29184, 5: -121728, 6: -9792, 7: 12672}
 Q = RatPoly(VARS, {(2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 0): 4})  # (y+m)^2+4y
 
 
@@ -83,7 +86,7 @@ def test_chain_k8_boundary():
     assert lp.eval(y=0, m=5) > 0
     for mm in (1, 2, 3):
         assert lp.eval(y=0, m=mm) < 0
-    assert lp == RatPoly(VARS, {(0, e[0]): c for e, c in ref.K8_LPRIME0.items()})
+    assert lp == RatPoly(VARS, {(0, e): c for e, c in K8_LPRIME0.items()})
 
 
 def test_generic_k_factor():

@@ -179,6 +179,12 @@ def test_sweep(capsys):
     assert "m=1: ok" in out
 
 
+def test_sweep_past_the_double_range_of_S(capsys):
+    # once a traceback: G_k^(m,p) squared y + m in floats past y ~ 1e154
+    assert cli.main(["sweep", "--k", "4", "--p", "2", "--grid", "1,1e300,3,linear"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- env and errors
 
 def test_vmp_tol_env(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from regpot.polys import (P_root_nonneg, build_P, build_Q, build_tildeP,
                           derivative_identities_check, eval_via_polynomials,
                           hypergeometric_check, ode_residual_check,
                           sum_identity_check, tildeP_roots)
-from regpot.errors import DomainError
+from regpot.errors import DomainError, RegpotError
 from regpot.ratpoly import RatPoly
 
 
@@ -249,6 +249,14 @@ def test_p_outside_domain_is_domain_error(capsys, p):
             call()
     assert cli.main(["roots", "--p", repr(p), "--m-max", "3"]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, p, y", [(20, 10.0, 1e300), (1, 0.3, 1e200)])
+def test_hypergeometric_check_past_the_double_range(m, p, y):
+    # once a bare OverflowError from float(P_20(1e300)), and nan from a 1F1
+    # sum that overflowed
+    with pytest.raises(RegpotError, match="double range"):
+        hypergeometric_check(m, p, y)
 
 
 def test_hypergeometric_check_rejects_non_finite_y():

@@ -1,4 +1,5 @@
-"""Ring-law and calculus properties of RatPoly."""
+"""Ring-law and calculus properties of RatPoly, and its agreement with the
+schoolbook exponent-tuple dict arithmetic of `oracles`."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poly_add, poly_diff, poly_eval, poly_mul, poly_pow, poly_subs
 from regpot.ratpoly import RatPoly
 
 VARS = ("y", "m")
@@ -98,3 +100,82 @@ def test_pretty_and_json_stable():
     d = p.to_json_dict()
     assert d["vars"] == ["y", "m"]
     assert d["terms"]["1,0"] == ["1", "1"]
+
+
+# ---------------------------------------------------------------- oracle
+
+@st.composite
+def oracle_pairs(draw):
+    """(names, a, b): two polynomials in 2 or 3 variables as exponent-tuple
+    dicts, coefficients over mixed denominators; half the time b holds a's
+    terms negated, so that a + b cancels them."""
+    n = draw(st.sampled_from((2, 3)))
+
+    def one():
+        d = {}
+        for _ in range(draw(st.integers(0, 5))):
+            e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            d[e] = d.get(e, 0) + Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+        return {e: c for e, c in d.items() if c}
+
+    a, b = one(), one()
+    if draw(st.booleans()):
+        b = poly_add(b, a, -1)
+    return ("y", "m", "k")[:n], a, b
+
+
+@given(oracle_pairs())
+@settings(max_examples=60, deadline=None)
+def test_ring_ops_match_oracle(pair):
+    names, a, b = pair
+    A, B = RatPoly(names, a), RatPoly(names, b)
+    assert dict(A.coeffs) == a
+    assert dict((A + B).coeffs) == poly_add(a, b)
+    assert dict((A - B).coeffs) == poly_add(a, b, -1)
+    assert dict((-A).coeffs) == poly_add({}, a, -1)
+    assert dict((A * B).coeffs) == poly_mul(a, b)
+    assert dict((A ** 3).coeffs) == poly_pow(a, 3, len(names))
+    total = RatPoly(names, poly_add(a, b))
+    assert A + B == total and hash(A + B) == hash(total)
+
+
+@given(oracle_pairs(), st.integers(0, 2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_calculus_matches_oracle(pair, i, c, values):
+    names, a, b = pair
+    n, i = len(names), i % len(names)
+    A, B = RatPoly(names, a), RatPoly(names, b)
+    const = {(0,) * n: c} if c else {}
+    var_plus_c = poly_add({tuple(int(j == i) for j in range(n)): Fraction(1)}, const)
+    assert dict(A.diff(names[i]).coeffs) == poly_diff(a, i)
+    assert dict(A.subs(names[i], B).coeffs) == poly_subs(a, i, b, n)
+    assert dict(A.subs(names[i], c).coeffs) == poly_subs(a, i, const, n)
+    assert dict(A.shift(names[i], c).coeffs) == poly_subs(a, i, var_plus_c, n)
+    got = A.eval(**dict(zip(names, values)))
+    assert isinstance(got, Fraction) and got == poly_eval(a, values[:n])
+
+
+def test_exponent_overflow_is_value_error():
+    y = RatPoly.var(VARS, "y")
+    with pytest.raises(ValueError):
+        y ** (2 ** 40)
+    with pytest.raises(ValueError):
+        RatPoly(VARS, {(2 ** 31, 0): 1})
+    half = y ** (2 ** 30)  # each factor is in range, their product is not
+    with pytest.raises(ValueError):
+        half * half
+    assert (half * y).degree("y") == 2 ** 30 + 1 and (half * y).degree("m") == 0
+
+
+def test_coeffs_view_is_read_only():
+    p = RatPoly(VARS, {(1, 0): Fraction(1, 2), (0, 0): -2})
+    view = p.coeffs
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 5
+    copy = dict(view)
+    copy[(1, 0)] = 7
+    assert p == RatPoly(VARS, {(1, 0): Fraction(1, 2), (0, 0): -2})
+    assert dict(p.coeffs) == {(1, 0): Fraction(1, 2), (0, 0): Fraction(-2)}
