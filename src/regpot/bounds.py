@@ -82,11 +82,18 @@ def _gkp_S(k: float, m: float, p: float, y: float) -> float:
         return math.inf
 
 
-def _gkp_scaled(k: float, m: float, p: float, y: float) -> tuple[float, float, float]:
-    """(S/(p y), D/(p y), m/y), the form that stays finite where S does not."""
-    r = m / y
-    sigma = math.sqrt((1.0 + r) * (1.0 + r) + 2.0 * k * (1.0 - 1.0 / p) / y)
-    return sigma, (k - 1.0) - r + sigma, r
+def _gkp_far(k: float, m: float, p: float, y: float) -> tuple[float, float]:
+    """(G, G') of G_k^(m,p) where S is inf, for u = y + m > 0.  With
+    b = 2 (1 - 1/p), a = k b and w = sqrt(1 + a y / u^2), D = p k y (1 + h)
+    and G = 1 / (1 + h), h = b / (u (1 + w)): every term is positive and no
+    u^2 or (m/y)^2 is formed, so nothing cancels or overflows."""
+    b, u = 2.0 * (1.0 - 1.0 / p), y + m
+    a_u = k * b / u
+    w = math.sqrt(1.0 + a_u * (y / u))
+    v = u * (1.0 + w)
+    g = 1.0 / (1.0 + b / v)
+    # v' = 1 + w + a (m - y) / (2 w u^2), at least 1 + w/2
+    return g, g * g * b * (1.0 + w + a_u * ((m - y) / u) / (2.0 * w)) / v / v
 
 
 def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
@@ -102,7 +109,7 @@ def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
             return 0.0
         return p * m / (p * m + (p - 1.0))
     if S == math.inf:
-        return k / _gkp_scaled(k, m, p, xp)[1]
+        return _gkp_far(k, m, p, xp)[0]
     return k * p * xp / (p * ((k - 1.0) * xp - m) + S)
 
 
@@ -110,11 +117,7 @@ def G_k_m_p_deriv(k: float, m: float, p: float, y: float) -> float:
     """d/dy G_k^(m,p)(y), analytic."""
     S = _gkp_S(k, m, p, y)
     if S == math.inf:
-        # D - y D' = k p (p-1) y (1 - 2 p m / (p (y+m) + S)) / S, free of
-        # cancellation, and y^2 divided out one factor at a time
-        sigma, delta, r = _gkp_scaled(k, m, p, y)
-        return (k * k * (p - 1.0) * (1.0 - 2.0 * r / (1.0 + r + sigma))
-                / (p * sigma * delta * delta) / y / y)
+        return _gkp_far(k, m, p, y)[1]
     D = p * ((k - 1.0) * y - m) + S
     Dp = p * (k - 1.0) + (p * p * (y + m) + k * p * (p - 1.0)) / S
     return k * p * (D - y * Dp) / (D * D)

@@ -31,10 +31,6 @@ def _exact(c) -> Scalar:
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(c).__name__}")
 
 
-def _pack(expo: tuple) -> int:
-    return functools.reduce(lambda key, e: key << _BITS | e, expo, 0)
-
-
 def _new(variables: tuple, terms: dict, den: int) -> "RatPoly":
     """terms / den, with no zero in terms, reduced."""
     g = math.gcd(den, *terms.values()) if den != 1 else 1
@@ -53,10 +49,7 @@ class RatPoly:
         self.vars = tuple(variables)
         acc: dict[int, Scalar] = {}
         for expo, c in (coeffs or {}).items():
-            expo = tuple(expo)
-            if len(expo) != len(self.vars) or any(not 0 <= e <= _MAX_EXP for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for vars {self.vars}")
-            key = _pack(expo)
+            key = self._key(expo)
             acc[key] = acc.get(key, 0) + _exact(c)
         # over the lcm of the reduced denominators no factor is common to all
         self.den = math.lcm(*(c.denominator for c in acc.values()))
@@ -82,14 +75,19 @@ class RatPoly:
         n = len(self.vars)
         return tuple((key >> (_BITS * (n - 1 - i))) & _FIELD for i in range(n))
 
+    def _key(self, expo) -> int:
+        expo = tuple(expo)
+        if len(expo) != len(self.vars) or any(not 0 <= e <= _MAX_EXP for e in expo):
+            raise ValueError(f"bad exponent vector {expo} for vars {self.vars}")
+        return functools.reduce(lambda key, e: key << _BITS | e, expo, 0)
+
     def _offset(self, name: str) -> int:
         return _BITS * (len(self.vars) - 1 - self.vars.index(name))
 
     @property
     def coeffs(self) -> Mapping[tuple, Fraction]:
         """Read-only view: exponent tuple -> Fraction coefficient."""
-        d = self.den
-        return MappingProxyType({self.unpack(k): Fraction(c, d) for k, c in self.terms.items()})
+        return MappingProxyType({self.unpack(k): Fraction(c, self.den) for k, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,7 +97,7 @@ class RatPoly:
         return max(((k >> sh) & _FIELD for k in self.terms), default=0)
 
     def coeff(self, expo: tuple) -> Fraction:
-        return Fraction(self.terms.get(_pack(tuple(expo)), 0), self.den)
+        return Fraction(self.terms.get(self._key(expo), 0), self.den)
 
     def min_coeff(self) -> Fraction:
         return Fraction(min(self.terms.values(), default=0), self.den)
@@ -174,13 +172,10 @@ class RatPoly:
         if n < 0:
             raise ValueError("negative power")
         result = RatPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        for bit in bin(n)[2:]:  # square and multiply, high bit first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -216,9 +211,6 @@ class RatPoly:
 
     def subs(self, name: str, value: "RatPoly | Scalar") -> "RatPoly":
         """Substitute a polynomial (or exact scalar) for one variable."""
-        if isinstance(value, RatPoly) and value.terms.keys() <= {0}:
-            self._check(value)
-            value = Fraction(value.terms.get(0, 0), value.den)
         if not isinstance(value, RatPoly):
             return self._translate(name, value, keep=False)
         self._check(value)
@@ -234,11 +226,13 @@ class RatPoly:
 
     def eval(self, **values):
         """Fully numeric evaluation by Horner in each variable, the last
-        first; exact iff all values are int/Fraction."""
+        first; exact iff all values are int/Fraction, else each coefficient
+        is rounded on its own."""
         missing = set(self.vars) - set(values)
         if missing:
             raise ValueError(f"missing values for {sorted(missing)}")
-        acc = self.terms
+        exact = all(isinstance(values[name], (int, Fraction)) for name in self.vars)
+        acc = self.terms if exact else {k: c / self.den for k, c in self.terms.items()}
         for name in reversed(self.vars):
             v, horner = values[name], {}
             for k in sorted(acc, reverse=True):  # exponents down within each group
@@ -246,7 +240,7 @@ class RatPoly:
                 horner[k >> _BITS] = (r * v ** (prev - (k & _FIELD)) + acc[k], k & _FIELD)
             acc = {hi: r * v ** e for hi, (r, e) in horner.items()}
         total = acc.get(0, 0)
-        return Fraction(total, self.den) if isinstance(total, int) else total / self.den
+        return Fraction(total, self.den) if exact else total
 
     # -- presentation -------------------------------------------------
 
@@ -255,37 +249,17 @@ class RatPoly:
 
     def pretty(self) -> str:
         """Human-readable form, terms sorted by total degree then lexicographic."""
-        if not self.terms:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda ec: (sum(ec[0]), ec[0]))
-        parts = []
-        for e, c in items:
-            factors = []
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        out = ""
+        for e, c in sorted(self.coeffs.items(), key=lambda ec: (sum(ec[0]), ec[0])):
+            body = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k)
+            t = {1: body, -1: f"-{body}"}.get(c, f"{c}*{body}") if body else str(c)
+            out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
+        return out or "0"
 
     def to_json_dict(self) -> dict:
         """Exact coefficient dump: exponent tuple -> [numerator, denominator] strings."""
-        terms = {
-            ",".join(map(str, e)): [str(c.numerator), str(c.denominator)]
-            for e, c in sorted(self.coeffs.items())
-        }
+        terms = {",".join(map(str, e)): [str(c.numerator), str(c.denominator)]
+                 for e, c in sorted(self.coeffs.items())}
         return {"vars": list(self.vars), "terms": terms}
 
     def to_json(self) -> str:

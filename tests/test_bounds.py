@@ -47,24 +47,30 @@ def test_G_derivatives_match_finite_difference():
 
 
 def _G_ref(k, m, p, y):
-    """G_k^(m,p)(y) and its y-derivative at 50 digits."""
-    k, m, p = mp.mpf(k), mp.mpf(m), mp.mpf(p)
+    """G_k^(m,p)(y) and its y-derivative from the formula as written, at
+    enough digits to cover the cancellation of p m against S (m/y) and the
+    size of G' against G (1/(y + m)^2)."""
+    k, m, p, y = mp.mpf(k), mp.mpf(m), mp.mpf(p), mp.mpf(y)
 
     def G(t):
         return k * p * t / (p * ((k - 1) * t - m) + mp.sqrt(p * p * (t + m) ** 2
                                                              + 2 * k * p * (p - 1) * t))
-    with mp.workdps(50):
-        return G(mp.mpf(y)), mp.diff(G, mp.mpf(y))
+    with mp.workdps(60 + 3 * int(mp.log10(max(1, y, m, m / y)))):
+        return G(y), mp.diff(G, y)
 
 
 @pytest.mark.parametrize("k, m, p, y", [(4.0, 2.0, 2.0, 1e154), (8.0, 5.0, 3.0, 1e200),
-                                        (4.0, 1.0, 1e160, 10.0), (8.0, 3.0, 1e200, 0.5)])
+                                        (4.0, 1.0, 1e160, 10.0), (8.0, 3.0, 1e200, 0.5),
+                                        (4.0, 1e155, 2.0, 1.0), (4.0, 1e17, 1e160, 1.0),
+                                        (8.0, 1e300, 2.0, 1e-10), (1.0, 1e100, 1e200, 1.0),
+                                        (8.0, 1e160, 3.0, 1e-5)])
 def test_G_past_the_double_range_of_S(k, m, p, y):
     # S^2 overflows here: once a bare OverflowError from (y + m) ** 2 past
-    # y ~ 1e154, and 0 (G) or nan (its derivative) where p^2 overflows
+    # y + m ~ 1e154, and 0 (G) or nan (its derivative) where p^2 overflows;
+    # m/y >> 1 is where a form divided through by y would cancel
     g, dg = _G_ref(k, m, p, y)
     assert bounds.G_k_m_p(k, m, p, y) == pytest.approx(float(g), rel=1e-14)
-    assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(float(dg), rel=1e-12, abs=1e-300)
+    assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(float(dg), rel=1e-12, abs=1e-320)
 
 
 def test_G_deriv_domain():

@@ -83,6 +83,13 @@ def test_eval_is_exact():
     assert p.eval(y=Fraction(3), m=Fraction(1, 2)) == Fraction(3, 2) + 2
 
 
+def test_eval_with_floats_rounds_each_coefficient():
+    # over the common denominator 10^400 the numerators pass the double range
+    p = RatPoly(VARS, {(0, 0): Fraction(1, 10 ** 400), (1, 0): 1})
+    assert p.eval(y=1.0, m=1.0) == 1.0
+    assert p.eval(y=0.0, m=0.0) == 1e-400
+
+
 def test_degree_and_coeff_queries():
     p = RatPoly(VARS, {(2, 1): 5, (0, 3): -1})
     assert p.degree("y") == 2
@@ -90,6 +97,9 @@ def test_degree_and_coeff_queries():
     assert max(sum(e) for e in p.coeffs) == 3  # total degree
     assert p.coeff((2, 1)) == 5
     assert p.coeff((1, 1)) == 0
+    for bad in ((1,), (0, 2 ** 32), (0, -1), (2, 1, 0)):  # no alias of another term
+        with pytest.raises(ValueError):
+            p.coeff(bad)
     assert p.min_coeff() == -1
 
 
@@ -156,6 +166,9 @@ def test_calculus_matches_oracle(pair, i, c, values):
     assert dict(A.shift(names[i], c).coeffs) == poly_subs(a, i, var_plus_c, n)
     got = A.eval(**dict(zip(names, values)))
     assert isinstance(got, Fraction) and got == poly_eval(a, values[:n])
+    scale = poly_eval({e: abs(c) for e, c in a.items()}, [abs(v) for v in values[:n]])
+    got = A.eval(**{name: float(v) for name, v in zip(names, values)})
+    assert abs(got - float(poly_eval(a, values[:n]))) <= 1e-13 * (1 + scale)
 
 
 def test_exponent_overflow_is_value_error():
