@@ -1,5 +1,10 @@
 """The inequality catalog: g_k, G_k^m, G_k^(m,p), Jensen, Boyd, ratio and
 convexity bounds, plus grid-based verification suites with JSON-able reports.
+
+G_k^(m,p) and its derivative take an array of y as well as a float.  The
+suites do each grid's work once: the ratio suite reads all its m off one
+chain and makes one G_k call per bound and m, and the monotone and
+convexity suites take a list of m, all read off one chain to the largest.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, _x_pow, eval_vm0, eval_vmp_many
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .recursion import chain_values
 
 SLACK = 1e-9
+_S_MIN = math.sqrt(np.finfo(float).tiny)  # an S below this has a subnormal S^2
 CONVEXITY_SLACK = 1e-7  # on (1/V)'', where 2 V'^2 and V V'' cancel
 
 
@@ -65,62 +71,81 @@ def g_k(k: float, x: float) -> float:
     return k / ((k - 1.0) * x + math.sqrt(x * x + k))
 
 
-def G_k_m(k: float, m: float, y: float) -> float:
+def G_k_m(k: float, m: float, y):
     """G_k^m(y) = k y / ((k-1) y - m + sqrt((y+m)^2 + k y)), the p = 2 case of
-    G_k^(m,p); limit 2m/(2m+1) at y = 0."""
+    G_k^(m,p), at a float y or at every y of an array; limit 2m/(2m+1) at
+    y = 0."""
     return G_k_m_p(k, m, 2.0, y)
 
 
-def _gkp_S(k: float, m: float, p: float, y: float) -> float:
-    """S = sqrt(p^2 (y+m)^2 + 2kp(p-1) y) of G_k^(m,p) = k p y / D, with
-    D = p((k-1) y - m) + S; inf where S^2 passes the double range."""
-    if k < 1 or m < 0 or p < 1 or y < 0:
-        raise DomainError(f"need k >= 1, m >= 0, p >= 1, xp >= 0; got {k}, {m}, {p}, {y}")
-    try:
-        return math.sqrt(p * p * (y + m) ** 2 + 2.0 * k * p * (p - 1.0) * y)
-    except OverflowError:
-        return math.inf
-
-
-def _gkp_far(k: float, m: float, p: float, y: float) -> tuple[float, float]:
-    """(G, G') of G_k^(m,p) where S is inf, for u = y + m > 0.  With
+def _gkp_far(k: float, m: float, p: float, y):
+    """(G, G') of G_k^(m,p) where S^2 leaves the range of normal doubles,
+    for u = y + m > 0.  With
     b = 2 (1 - 1/p), a = k b and w = sqrt(1 + a y / u^2), D = p k y (1 + h)
     and G = 1 / (1 + h), h = b / (u (1 + w)): every term is positive and no
     u^2 or (m/y)^2 is formed, so nothing cancels or overflows."""
     b, u = 2.0 * (1.0 - 1.0 / p), y + m
     a_u = k * b / u
-    w = math.sqrt(1.0 + a_u * (y / u))
+    w = np.sqrt(1.0 + a_u * (y / u))
     v = u * (1.0 + w)
     g = 1.0 / (1.0 + b / v)
     # v' = 1 + w + a (m - y) / (2 w u^2), at least 1 + w/2
     return g, g * g * b * (1.0 + w + a_u * ((m - y) / u) / (2.0 * w)) / v / v
 
 
-def G_k_m_p(k: float, m: float, p: float, xp: float) -> float:
-    """General-p form; reduces to G_k^m at p = 2."""
-    S = _gkp_S(k, m, p, xp)
-    if xp == 0:
-        # y -> 0 limits: for p = 1 the whole function collapses to 1; for
-        # m > 0 expand the square root to first order; for m = 0, p > 1 the
-        # sqrt(y) term dominates and the limit is 0
-        if p == 1:
-            return 1.0
-        if m == 0:
-            return 0.0
-        return p * m / (p * m + (p - 1.0))
-    if S == math.inf:
-        return _gkp_far(k, m, p, xp)[0]
-    return k * p * xp / (p * ((k - 1.0) * xp - m) + S)
+def _gkp_at_zero(k: float, m: float, p: float) -> tuple[float, float]:
+    """(G, G') of G_k^(m,p) at y = 0, the y -> 0 limits.  G is 1 at p = 1,
+    where the whole function collapses to 1, and 0 at m = 0, p > 1, where
+    G ~ sqrt(y) and G' is +inf.  Otherwise the conjugate form
+    G = k p / (p (k-1) + (p^2 (y + 2m) + 2kp(p-1)) / (S + p m)) has no
+    cancellation at y = 0, and gives G = p m / (p m + p - 1) and
+    G' = (p-1) (p + k (p-1) / (2m)) / (p m + p - 1)^2."""
+    if p == 1:
+        return 1.0, 0.0
+    if m == 0:
+        return 0.0, math.inf
+    q = p * m + (p - 1.0)
+    return p * m / q, (p - 1.0) / q * ((p + k * (p - 1.0) / (2.0 * m)) / q)
 
 
-def G_k_m_p_deriv(k: float, m: float, p: float, y: float) -> float:
-    """d/dy G_k^(m,p)(y), analytic."""
-    S = _gkp_S(k, m, p, y)
-    if S == math.inf:
-        return _gkp_far(k, m, p, y)[1]
-    D = p * ((k - 1.0) * y - m) + S
-    Dp = p * (k - 1.0) + (p * p * (y + m) + k * p * (p - 1.0)) / S
-    return k * p * (D - y * Dp) / (D * D)
+def _gkp(k: float, m: float, p: float, y, deriv: bool):
+    """G_k^(m,p)(y) = k p y / D, D = p((k-1) y - m) + S with
+    S = sqrt(p^2 (y+m)^2 + 2kp(p-1) y), or its y-derivative, at a float y or
+    at every y of an array.  Where S^2 overflows, or is too small to be a
+    normal double, the value comes from `_gkp_far`, and at y = 0 from
+    `_gkp_at_zero`."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if k < 1 or m < 0 or p < 1 or np.any(ys < 0):
+        raise DomainError(f"need k >= 1, m >= 0, p >= 1, xp >= 0; got {k}, {m}, {p}, {y}")
+    with np.errstate(all="ignore"):
+        # float_power calls the C library's pow, as `**` on a float does;
+        # `**` on an array squares by a product, which now and then rounds
+        # the other way
+        S = np.sqrt(p * p * np.float_power(ys + m, 2.0) + 2.0 * k * p * (p - 1.0) * ys)
+        D = p * ((k - 1.0) * ys - m) + S
+        if deriv:
+            Dp = p * (k - 1.0) + (p * p * (ys + m) + k * p * (p - 1.0)) / S
+            out = k * p * (D - ys * Dp) / (D * D)
+        else:
+            out = k * p * ys / D
+        far = np.isinf(S) | (S < _S_MIN)
+        if far.any():
+            out[far] = _gkp_far(k, m, p, ys[far])[deriv]
+    # D >= p k y exactly, so it rounds to 0 only where y is below about
+    # eps m, and there G and G' are their limits to double precision
+    out[(ys == 0) | (D == 0)] = _gkp_at_zero(k, m, p)[deriv]
+    return float(out[0]) if np.ndim(y) == 0 else out
+
+
+def G_k_m_p(k: float, m: float, p: float, xp):
+    """G_k^(m,p)(y) at a float y, or an array at every y of an array;
+    reduces to G_k^m at p = 2."""
+    return _gkp(k, m, p, xp, False)
+
+
+def G_k_m_p_deriv(k: float, m: float, p: float, y):
+    """d/dy G_k^(m,p)(y), analytic, at a float y or at every y of an array."""
+    return _gkp(k, m, p, y, True)
 
 
 def jensen_bounds(m: float, p: float, x: float) -> tuple[float, float | None]:
@@ -164,6 +189,8 @@ def boyd_bounds(m: float) -> tuple[float, float]:
 def ratio(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """R_m^p(x) = V_m^p(x) / V_(m-1)^p(x), both from one `eval_vmp_many` call."""
     num, den = eval_vmp_many([m, m - 1.0], p, [x, x], tol)[0].tolist()
+    if den == 0.0:
+        raise ConvergenceError(f"V_{m - 1.0}^{p}({x}) underflows a double, so R_m has no value")
     return num / den
 
 
@@ -261,44 +288,58 @@ def find_gk_violation(k: float, side: str, grid: list[float] | None = None,
 def verify_ratio_bounds(m_max: int, grid: list[float] | None = None,
                         tol: float = DEFAULT_TOL) -> Report:
     """G_8^(m-1)(x^2) < R_m(x) < G_4^m(x^2) for integer m in [1, m_max], the
-    ratios read off one chain per grid."""
+    ratios read off one chain per grid and each bound in one call per m."""
     rep = Report("ratio")
     grid = grid if grid is not None else default_grid()
     chain = chain_values(m_max, 2.0, grid, tol)
+    xs = np.asarray(grid, dtype=float)
+    y = xs * xs
     for m in range(1, m_max + 1):
-        for i, (x, r) in enumerate(zip(grid, (chain[m] / chain[m - 1]).tolist())):
-            lo = G_k_m(8.0, m - 1.0, x * x)
-            hi = G_k_m(4.0, float(m), x * x)
-            margin = min(r - lo, hi - r)
-            rep.record(margin > -SLACK, margin, index=i, m=m, x=x, r=r, lower=lo, upper=hi)
+        r = chain[m] / chain[m - 1]
+        lo, hi = G_k_m(8.0, m - 1.0, y), G_k_m(4.0, float(m), y)
+        for i, (x, r_i, lo_i, hi_i, margin) in enumerate(zip(
+                grid, r.tolist(), lo.tolist(), hi.tolist(), np.minimum(r - lo, hi - r).tolist())):
+            rep.record(margin > -SLACK, margin, index=i, m=m, x=x, r=r_i, lower=lo_i, upper=hi_i)
     return rep
 
 
-def verify_ratio_monotone(m: int, grid: list[float] | None = None,
-                          tol: float = DEFAULT_TOL) -> Report:
-    """R_(m+1) nondecreasing along an increasing grid, read off one chain."""
-    rep = Report("monotone")
+def _m_list(m) -> list[int]:
+    """The suites' m: one integer, or a list of them."""
+    ms = [m] if np.ndim(m) == 0 else list(m)
+    if any(mi < 0 for mi in ms):
+        raise DomainError(f"suite stated for integer m >= 0, got m={m}")
+    return ms
+
+
+def verify_ratio_monotone(m, grid: list[float] | None = None, tol: float = DEFAULT_TOL):
+    """R_(m+1) nondecreasing along an increasing grid.  One integer m gives
+    one Report, a list of m a list of Reports; all are read off one chain
+    to max(m) + 1."""
+    ms = _m_list(m)
     grid = grid if grid is not None else default_grid()
-    chain = chain_values(m + 1, 2.0, grid, tol)
-    prev = None
-    for i, (x, r) in enumerate(zip(grid, (chain[m + 1] / chain[m]).tolist())):
-        if prev is not None:
-            margin = r - prev
-            rep.record(margin > -SLACK, margin, index=i, m=m, x=x)
-        prev = r
-    return rep
+    chain = chain_values(max(ms, default=0) + 1, 2.0, grid, tol)
+    reports = []
+    for mi in ms:
+        rep = Report("monotone")
+        r = chain[mi + 1] / chain[mi]
+        for i, (x, margin) in enumerate(zip(grid[1:], np.diff(r).tolist()), 1):
+            rep.record(margin > -SLACK, margin, index=i, m=mi, x=x)
+        reports.append(rep)
+    return reports[0] if np.ndim(m) == 0 else reports
 
 
-def convexity_criterion_poly(m: float, x: float, z: float) -> float:
-    """P(z) = z^2 (1 + 2m - 2x^2) + 2z (3x^2 - m) - 4x^2; P(R_m(x)) < 0 iff 1/V_m convex at x."""
+def convexity_criterion_poly(m: float, x, z):
+    """P(z) = z^2 (1 + 2m - 2x^2) + 2z (3x^2 - m) - 4x^2; P(R_m(x)) < 0 iff 1/V_m
+    convex at x.  Floats, or arrays of x and z."""
     x2 = x * x
     return z * z * (1.0 + 2.0 * m - 2.0 * x2) + 2.0 * z * (3.0 * x2 - m) - 4.0 * x2
 
 
-def verify_convexity_reciprocal(m: int, p: float, grid: list[float] | None = None,
-                                tol: float = 1e-12) -> Report:
+def verify_convexity_reciprocal(m, p: float, grid: list[float] | None = None,
+                                tol: float = 1e-12):
     """Convexity of 1/V_m: (1/V)'' >= -CONVEXITY_SLACK, plus the algebraic criterion
-    P(R_m(x)) < 0 when p = 2.  Both come from one chain per grid: with
+    P(R_m(x)) < 0 when p = 2.  One integer m gives one Report, a list of m a
+    list of Reports; all come from one chain to max(m, 1): with
     V_m' = p x^(p-1) (V_m - V_(m-1)), exact at m = 0 with V_(-1) = x^(1-p),
 
         (1/V)'' = (2 V'^2 - V V'') / V^3,
@@ -307,27 +348,31 @@ def verify_convexity_reciprocal(m: int, p: float, grid: list[float] | None = Non
 
     where V_(-2) = x^(1-p) - (1-p) x^(1-2p) / p makes the first identity
     give V_(-1)' = (1-p) x^(-p)."""
-    if m < 0 or p < 2:
+    ms = _m_list(m)
+    if p < 2:
         raise DomainError(f"suite stated for integer m >= 0, p >= 2; got m={m}, p={p}")
-    rep = Report("convexity")
     grid = grid if grid is not None else default_grid(5e-2, 20.0, 120)
     xs = np.asarray(grid, dtype=float)
-    chain = chain_values(max(m, 1), p, xs, tol)
+    chain = chain_values(max([*ms, 1]), p, xs, tol)
     v_minus1 = xs ** (1.0 - p)
     below = [v_minus1 - (1.0 - p) / p * xs ** (1.0 - 2.0 * p), v_minus1, *chain]
-    v, v1, v2 = below[m + 2], below[m + 1], below[m]  # V_m, V_(m-1), V_(m-2)
-    slope = p * xs ** (p - 1.0)
-    d1 = slope * (v - v1)
-    d2 = p * (p - 1.0) * xs ** (p - 2.0) * (v - v1) + slope * slope * (v - 2.0 * v1 + v2)
-    second = (2.0 * d1 * d1 - v * d2) / v ** 3
-    ratios = v / v1 if m >= 1 and p == 2 else None
-    for i, x in enumerate(grid):
-        rep.record(second[i] >= -CONVEXITY_SLACK, float(second[i]), index=i, m=m, p=p, x=x,
-                   kind="exact")
-        if ratios is not None:
-            crit = convexity_criterion_poly(float(m), x, float(ratios[i]))
-            rep.record(crit < 0.0, -crit, index=i, m=m, x=x, kind="criterion")
-    return rep
+    slope, curve = p * xs ** (p - 1.0), p * (p - 1.0) * xs ** (p - 2.0)
+    reports = []
+    for mi in ms:
+        rep = Report("convexity")
+        v, v1, v2 = below[mi + 2], below[mi + 1], below[mi]  # V_m, V_(m-1), V_(m-2)
+        d1 = slope * (v - v1)
+        d2 = curve * (v - v1) + slope * slope * (v - 2.0 * v1 + v2)
+        second = ((2.0 * d1 * d1 - v * d2) / v ** 3).tolist()
+        crits = (convexity_criterion_poly(float(mi), xs, v / v1).tolist()
+                 if mi >= 1 and p == 2 else None)
+        for i, x in enumerate(grid):
+            rep.record(second[i] >= -CONVEXITY_SLACK, second[i], index=i, m=mi, p=p, x=x,
+                       kind="exact")
+            if crits is not None:
+                rep.record(crits[i] < 0.0, -crits[i], index=i, m=mi, x=x, kind="criterion")
+        reports.append(rep)
+    return reports[0] if np.ndim(m) == 0 else reports
 
 
 def verify_jensen(m: float, p: float, grid: list[float] | None = None,

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 
+import numpy as np
+
 from . import _reference as ref
 from .bounds import G_k_m_p, G_k_m_p_deriv
 from .core import _check_finite
@@ -344,11 +346,12 @@ def numeric_lemma_sweep(k: float, p: float, m_list: list, y_grid: list,
     if not ys:
         raise DomainError("y_grid must contain positive points")
     out: dict = {"k": k, "p": p, "orientation": orientation, "per_m": {}}
+    y = np.array(ys)
     for m in m_list:
         if m < 1:
             raise DomainError(f"sweep requires m >= 1, got {m}")
-        es = [sign * ((G_k_m_p(k, m, p, yv) / G_k_m_p(k, m - 1, p, yv) - 1.0)
-                      - G_k_m_p_deriv(k, m, p, yv)) for yv in ys]
+        es = (sign * ((G_k_m_p(k, m, p, y) / G_k_m_p(k, m - 1, p, y) - 1.0)
+                      - G_k_m_p_deriv(k, m, p, y))).tolist()
         i = min(range(len(es)), key=es.__getitem__)
         runs = [[yv for yv, _ in run]
                 for neg, run in groupby(zip(ys, es), key=lambda ye: ye[1] < 0) if neg]

@@ -9,6 +9,7 @@ The VMP_TOL environment variable overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -181,11 +182,10 @@ def _run_suite(name: str, args) -> list[bounds.Report]:
     if name == "ratio":
         return [bounds.verify_ratio_bounds(args.m_max, tol=args.tol)]
     if name == "convexity":
-        return [bounds.verify_convexity_reciprocal(m, 2.0, tol=args.tol)
-                for m in range(1, min(args.m_max, 10) + 1)]
+        return bounds.verify_convexity_reciprocal(range(1, min(args.m_max, 10) + 1), 2.0,
+                                                  tol=args.tol)
     if name == "monotone":
-        return [bounds.verify_ratio_monotone(m, tol=args.tol)
-                for m in range(1, min(args.m_max, 10) + 1)]
+        return bounds.verify_ratio_monotone(range(1, min(args.m_max, 10) + 1), tol=args.tol)
     if name == "jensen":
         return [bounds.verify_jensen(m, p, tol=args.tol)
                 for m in (0.0, 1.0, 2.5, 5.0) for p in (0.5, 0.75, 2.0, 3.0)]
@@ -290,7 +290,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `vmp` parser, built on the first call and shared after it."""
     top = _Parser(prog="vmp", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="subcommand", required=True)
 

@@ -72,7 +72,9 @@ class EvalResult:
 
 
 def _ulp_slack(value):
-    return 10.0 * _EPS * abs(value)
+    """Rounding slack of a computed value: 10 ulp, plus the least subnormal,
+    the most by which a value below the double range can round to 0."""
+    return 10.0 * _EPS * abs(value) + math.ulp(0.0)
 
 
 def _check_tol(tol: float) -> None:
@@ -191,7 +193,7 @@ def eval_vm0(m: float, p: float) -> EvalResult:
     V_-1 = x^(1-p) at m = -1, p < 1."""
     EvalParams(m, p, 0.0)
     if m == -1:
-        return EvalResult(0.0, 0.0, "convention")
+        return EvalResult(0.0, _ulp_slack(0.0), "convention")
     value, abs_err = gamma_ratio(m + 1.0 / p, m + 1.0)
     return EvalResult(value, abs_err, "closed_form_inv_p")
 
@@ -309,7 +311,8 @@ def eval_vmp_many(m, p: float, xs, tol: float = DEFAULT_TOL):
     near = np.flatnonzero(rest & (z > 2.0 * (ms + 2.0))) if p > 1 else []
     if len(near):
         v, e, in_regime = _asymptotic_series(ms[near], p, xs[near])
-        ok = in_regime & (e <= tol * np.abs(v))
+        # the slack's least subnormal meets any tol: no double is closer
+        ok = in_regime & (e <= tol * np.abs(v) + math.ulp(0.0))
         values[near[ok]], errs[near[ok]], methods[near[ok]] = v[ok], e[ok], "asymptotic"
         rest[near[ok]] = False
     if rest.any():

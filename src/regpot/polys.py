@@ -26,7 +26,7 @@ import mpmath as mp
 
 from .bounds import bisect
 from .core import DEFAULT_TOL, EvalParams, _check_p, _check_tol, _x_pow, eval_vmp, gamma_ratio
-from .errors import BracketError, DomainError, SeriesBudgetError
+from .errors import BracketError, ConvergenceError, DomainError, SeriesBudgetError
 from .ratpoly import RatPoly
 from .recursion import recur
 
@@ -190,7 +190,10 @@ def eval_via_polynomials(m: float, p: float, x: float, tol: float = DEFAULT_TOL)
     dps = 30 + int(max(log_cond, 0.0))
     v0 = _anchor_v0_hp(yv, s, -(-dps // _ANCHOR_DPS_STEP) * _ANCHOR_DPS_STEP)
     with mp.workdps(dps):
-        return float(_mpf(P) * v0 + _mpf(yv) ** _mpf(s) * _mpf(Q))
+        value = float(_mpf(P) * v0 + _mpf(yv) ** _mpf(s) * _mpf(Q))
+    if math.isinf(value):
+        raise ConvergenceError(f"V_{m}^{p}({x}) overflows a double")
+    return value
 
 
 # ---------------------------------------------------------------- identities

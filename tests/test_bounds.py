@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from regpot import bounds
@@ -48,14 +49,15 @@ def test_G_derivatives_match_finite_difference():
 
 def _G_ref(k, m, p, y):
     """G_k^(m,p)(y) and its y-derivative from the formula as written, at
-    enough digits to cover the cancellation of p m against S (m/y) and the
-    size of G' against G (1/(y + m)^2)."""
+    enough digits to cover the cancellation of p m against S (m/y), the
+    size of G' against G (1/(y + m)^2), and to keep mpmath's difference
+    step, about 10^-digits, below y (1/y)."""
     k, m, p, y = mp.mpf(k), mp.mpf(m), mp.mpf(p), mp.mpf(y)
 
     def G(t):
         return k * p * t / (p * ((k - 1) * t - m) + mp.sqrt(p * p * (t + m) ** 2
                                                              + 2 * k * p * (p - 1) * t))
-    with mp.workdps(60 + 3 * int(mp.log10(max(1, y, m, m / y)))):
+    with mp.workdps(60 + 3 * int(mp.log10(max(1, y, m, m / y, 1 / y)))):
         return G(y), mp.diff(G, y)
 
 
@@ -63,14 +65,63 @@ def _G_ref(k, m, p, y):
                                         (4.0, 1.0, 1e160, 10.0), (8.0, 3.0, 1e200, 0.5),
                                         (4.0, 1e155, 2.0, 1.0), (4.0, 1e17, 1e160, 1.0),
                                         (8.0, 1e300, 2.0, 1e-10), (1.0, 1e100, 1e200, 1.0),
-                                        (8.0, 1e160, 3.0, 1e-5)])
+                                        (8.0, 1e160, 3.0, 1e-5), (4.0, 0.0, 1.0, 1e-200),
+                                        (4.0, 1e-200, 1.0, 1e-200), (8.0, 1e-160, 3.0, 1e-160)])
 def test_G_past_the_double_range_of_S(k, m, p, y):
     # S^2 overflows here: once a bare OverflowError from (y + m) ** 2 past
     # y + m ~ 1e154, and 0 (G) or nan (its derivative) where p^2 overflows;
-    # m/y >> 1 is where a form divided through by y would cancel
+    # m/y >> 1 is where a form divided through by y would cancel.  In the
+    # last three rows S^2 is subnormal or 0: G read 4/3 and 2 at p = 1,
+    # where it is 1, and G' raised ZeroDivisionError
     g, dg = _G_ref(k, m, p, y)
     assert bounds.G_k_m_p(k, m, p, y) == pytest.approx(float(g), rel=1e-14)
     assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(float(dg), rel=1e-12, abs=1e-320)
+
+
+def _G_conj(k, m, p):
+    """G_k^(m,p) in the conjugate form k p / (p (k-1) + (p^2 (y + 2m) +
+    2kp(p-1)) / (S + p m)), analytic at y = 0 for m > 0."""
+    def G(y):
+        S = mp.sqrt(p * p * (y + m) ** 2 + 2 * k * p * (p - 1) * y)
+        return k * p / (p * (k - 1) + (p * p * (y + 2 * m) + 2 * k * p * (p - 1)) / (S + p * m))
+    return G
+
+
+@pytest.mark.parametrize("k, m, p", [(4.0, 2.0, 2.0), (8.0, 3.0, 3.0), (4.0, 1.0, 1.5),
+                                     (4.0, 0.5, 10.0), (8.0, 1e-3, 2.0), (4.0, 1e100, 2.0),
+                                     (4.0, 2.0, 1.0), (8.0, 0.0, 1.0)])
+def test_G_deriv_at_zero_is_the_limit(k, m, p):
+    # once a bare ZeroDivisionError: D = p (-m) + p m = 0 at y = 0.  G' is
+    # about 1/m^2 against G ~ 1, so the difference quotient needs 2 log10(m)
+    # more digits
+    with mp.workdps(40 + 3 * int(math.log10(max(1.0, m)))):
+        want = mp.diff(_G_conj(*map(mp.mpf, (k, m, p))), 0, direction=1) if m > 0 else 0
+    assert bounds.G_k_m_p_deriv(k, m, p, 0.0) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k, m, p, y", [(4.0, 1.0, 2.0, 1e-191), (16.0, 1.0, 1.0, 4.7e-175),
+                                        (1.0, 5.0, 1.5, 5.8e-205), (3.3, 2.0, 2.0, 1e-17)])
+def test_G_where_D_rounds_to_zero_is_the_limit(k, m, p, y):
+    # y below about eps m: D = p((k-1) y - m) + S rounds to 0, once a bare
+    # ZeroDivisionError
+    g, dg = _G_ref(k, m, p, y)
+    assert bounds.G_k_m_p(k, m, p, y) == pytest.approx(float(g), rel=1e-14)
+    assert bounds.G_k_m_p_deriv(k, m, p, y) == pytest.approx(float(dg), rel=1e-14)
+
+
+def test_G_deriv_at_zero_is_inf_where_G_grows_like_sqrt_y():
+    for k, p in [(4.0, 2.0), (8.0, 3.0), (4.0, 1.5)]:
+        assert bounds.G_k_m_p_deriv(k, 0.0, p, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("k, m, p", [(4.0, 2.0, 2.0), (8.0, 3.0, 3.0), (4.0, 0.0, 2.0),
+                                     (4.0, 5.0, 1.0), (8.0, 1e155, 2.0), (4.0, 1.0, 1e160)])
+def test_G_arrays_match_the_scalar_loop(k, m, p):
+    ys = [0.0, 1e-300, 1e-5, 0.37, 3.0, 29.9, 1e100, 1e154, 3e154, 1e200, 1e300]
+    for f in (bounds.G_k_m_p, bounds.G_k_m_p_deriv):
+        scalar = [f(k, m, p, y) for y in ys]
+        assert all(type(v) is float for v in scalar)
+        assert f(k, m, p, np.array(ys)).tolist() == scalar
 
 
 def test_G_deriv_domain():

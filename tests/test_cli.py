@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from regpot import cli
+from regpot import bounds, cli
 from regpot.core import DEFAULT_TOL, EvalParams, eval_vmp
 from test_recursion import averaged_direct_and_budget
 
@@ -115,6 +115,31 @@ def test_verify_ratio(capsys):
     assert code == 0
 
 
+def test_verify_ratio_output_is_pinned(capsys):
+    # the G_k bounds on arrays give the scalar loop's floats, byte for byte
+    code, out = run(capsys, ["verify", "ratio", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae483609452a43fd4608b67650db30173786f95a33f89d97507e24f635b869d1")
+
+
+@pytest.mark.parametrize("suite, library", [
+    ("monotone", lambda m: bounds.verify_ratio_monotone(m)),
+    ("convexity", lambda m: bounds.verify_convexity_reciprocal(m, 2.0)),
+])
+def test_verify_reads_all_m_off_one_chain(capsys, suite, library):
+    # the CLI runs m = 1..10 on one chain to the largest m, which moves the
+    # turning-point seeds of the smaller m and so their last digits
+    code, out = run(capsys, ["verify", suite, "--format", "json"])
+    assert code == 0
+    got = json.loads(out)
+    want = [library(m) for m in range(1, 11)]
+    assert [(r["name"], r["n_points"], r["passed"]) for r in got] == [
+        (r.name, r.n_points, r.passed) for r in want]
+    for r, w in zip(got, want):
+        assert r["worst_margin"] == pytest.approx(w.worst_margin, rel=1e-6)
+
+
 def test_verify_r123_json(capsys):
     code, out = run(capsys, ["verify", "r123", "--format", "json"])
     assert code == 0
@@ -177,6 +202,27 @@ def test_sweep(capsys):
                              "--grid", "0.1,10,100,linear"])
     assert code == 0
     assert "m=1: ok" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--k", "4", "--p", "2", "--m-list", "1,3,5,8", "--grid", "0.02,30,400,linear"],
+     "3d1b04a8e49786edb3dc3cc8fe60db94a808f7c5e2611321205c1869a70ce345"),
+    (["--k", "8", "--p", "3", "--m-list", "2,4,6,7", "--grid", "0.02,30,600,linear"],
+     "a32b98038422ca85b6947b026e82e8f5d0eadd3ffc68deb2c10c588750715509"),
+])
+def test_sweep_output_is_pinned(capsys, argv, digest):
+    # one G_k call per m over the grid gives the scalar loop's floats
+    code, out = run(capsys, ["sweep", *argv, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_below_the_double_range_of_S(capsys):
+    # at p = 1 and y = 1e-200, (y + m)^2 underflowed: G_0 read 4/3 where it
+    # is 1, and G_1 divided by D = 0 (a traceback)
+    code, out = run(capsys, ["sweep", "--k", "4", "--p", "1", "--grid", "1e-200,1,3,linear"])
+    assert code == 0
+    assert "NEGATIVE" not in out
 
 
 def test_sweep_past_the_double_range_of_S(capsys):

@@ -305,6 +305,7 @@ def test_quadrature_matches_tricomi_u(m, p, x):
     (lambda: vmp(1.0, 1e-3, 2.0), None, None),  # V is past 1000! here
     (lambda: vmp(-1.0, 3.0, 1e-300), None, None),  # the convention x^(1-p)
     (lambda: polys.eval_via_polynomials(3.0, 2.5, 1e200), 1e-300, 1e-14),
+    (lambda: polys.eval_via_polynomials(20.0, 1e-3, 1.0), None, None),  # it returned inf
     (lambda: recursion.chain_values(20, 2.0, 1e200)[-1], 1e-200, 1e-14),
     (lambda: recursion.averaged_potential(7, 3.0, 1e120), 1e-240, 1e-14),
     (lambda: bounds.ratio(5.0, 2.0, 1e200), 1.0, 1e-14),
@@ -320,7 +321,8 @@ def test_quadrature_matches_tricomi_u(m, p, x):
      1e-9),
     (lambda: recursion.averaged_potential(3, 9.23, 1.7e-176), recursion.averaged_at_zero(3, 9.23),
      1e-9),
-], ids=["vmp", "vmp_tiny_p", "vmp_convention", "eval_via_polynomials", "chain_values",
+], ids=["vmp", "vmp_tiny_p", "vmp_convention", "eval_via_polynomials",
+        "eval_via_polynomials_tiny_p", "chain_values",
         "averaged_potential", "ratio", "jensen_bounds", "jensen_bounds_underflow", "vmp_table",
         "vmp_table_wide_grid",
         "chain_values_tiny_x", "averaged_potential_tiny_x"])
@@ -337,11 +339,27 @@ def test_overflowing_x_pow_answers_or_raises_regpot_error(call, want, rtol):
 @pytest.mark.parametrize("call", [
     lambda: eval_vmp(EvalParams(-0.999, 3.0, 1e-120)),
     lambda: eval_fourier_transform(-0.99, 1e-170),
-], ids=["vmp", "fourier"])
+    lambda: bounds.ratio(20.0, 10.0, 1e300),
+], ids=["vmp", "fourier", "ratio"])
 def test_underflowing_z_below_threshold_is_convergence_error(call):
-    # z = x^p or xi^2/4 rounds to 0 where the integral diverges as z -> 0
+    # z = x^p or xi^2/4 rounds to 0 where the integral diverges as z -> 0;
+    # the ratio's denominator V_19 rounds to 0 (once a ZeroDivisionError)
     with pytest.raises(ConvergenceError, match="underflows"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_vmp(EvalParams(1.0, 3.0, 1e200)),
+    lambda: eval_vmp(EvalParams(20.0, 400.0, 7.3)),
+    lambda: eval_fourier_transform(20.0, 1e154),
+    lambda: eval_fourier_transform(1e8, 1.0),
+], ids=["vmp_series", "vmp_series_huge_p", "fourier", "fourier_large_m"])
+def test_estimate_of_an_underflowing_value_is_positive(call):
+    # V or F is below the double range and rounds to 0; an estimate of 0
+    # (as once returned) would claim the positive true value is 0 exactly
+    res = call()
+    assert res.value == 0.0
+    assert res.abs_err_estimate > 0.0
 
 
 def test_vmp_wrapper_bit_for_bit():
