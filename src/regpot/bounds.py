@@ -1,10 +1,12 @@
 """The inequality catalog: g_k, G_k^m, G_k^(m,p), Jensen, Boyd, ratio and
 convexity bounds, plus grid-based verification suites with JSON-able reports.
 
-G_k^(m,p) and its derivative take an array of y as well as a float.  The
-suites do each grid's work once: the ratio suite reads all its m off one
-chain and makes one G_k call per bound and m, and the monotone and
-convexity suites take a list of m, all read off one chain to the largest.
+g_k, G_k^(m,p) and its derivative, the Jensen bounds and h1/h2/h3 take an
+array as well as a float.  The suites do each grid's work once and on
+arrays: each check forms its margins as one array and records them with one
+`Report.add`.  The ratio suite reads all its m off one chain and makes one
+G_k call per bound and m, and the monotone and convexity suites take a list
+of m, all read off one chain to the largest.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _x_pow, eval_vm0, eval_vmp_many
+from .core import DEFAULT_TOL, eval_vm0, eval_vmp_many
 from .errors import BracketError, ConvergenceError, DomainError
 from .recursion import chain_values
 
@@ -38,12 +40,21 @@ class Report:
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, ok: bool, margin: float, **context):
-        self.n_points += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-        if not ok:
-            self.violations.append({"margin": margin, **context})
+    def add(self, ok, margin, **context):
+        """Record n points: ok and margin have length n, and each context
+        entry is an array of length n or one value that every point shares.
+        The worst margin is the first smallest one, never a NaN; the points
+        that are not ok join the violations in their order."""
+        ok, margin = np.asarray(ok, dtype=bool), np.asarray(margin, dtype=float)
+        self.n_points += margin.size
+        seen = margin[~np.isnan(margin)]
+        if seen.size and seen.min() < self.worst_margin:
+            self.worst_margin = float(seen[seen.argmin()])  # the first of equal margins
+        bad = np.flatnonzero(~ok)
+        cols = [np.asarray(v)[bad].tolist() if np.ndim(v) else [v] * bad.size
+                for v in context.values()]
+        keys = ["margin", *context]
+        self.violations += [dict(zip(keys, row)) for row in zip(margin[bad].tolist(), *cols)]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -62,13 +73,14 @@ def default_grid(lo: float = 1e-2, hi: float = 1e2, n: int = 200) -> list[float]
 
 # ---------------------------------------------------------------- bound families
 
-def g_k(k: float, x: float) -> float:
-    """g_k(x) = k / ((k-1) x + sqrt(x^2 + k))."""
+def g_k(k: float, x):
+    """g_k(x) = k / ((k-1) x + sqrt(x^2 + k)), at a float x or at every x of
+    an array."""
     if k <= 0:
         raise DomainError(f"k must be positive, got {k}")
-    if x < 0:
+    if np.less(x, 0).any():
         raise DomainError(f"x must be nonnegative, got {x}")
-    return k / ((k - 1.0) * x + math.sqrt(x * x + k))
+    return k / ((k - 1.0) * x + np.sqrt(x * x + k))
 
 
 def G_k_m(k: float, m: float, y):
@@ -148,33 +160,44 @@ def G_k_m_p_deriv(k: float, m: float, p: float, y):
     return _gkp(k, m, p, y, True)
 
 
-def jensen_bounds(m: float, p: float, x: float) -> tuple[float, float | None]:
-    """Jensen sandwich for V_m^p(x), x > 0; (lower, upper), upper None when absent.
+def jensen_bounds(m: float, p: float, x):
+    """Jensen sandwich for V_m^p(x), x > 0; (lower, upper), upper None when
+    absent, floats at a float x and arrays at an array of x.
 
     p > 1:        (x^p+m+1)^(-(p-1)/p) <= V <= (x^p+m)^(-(p-1)/p)   (m > -1 / m >= 0)
     1/2 <= p < 1: reversed roles of the two expressions
     0 < p <= 1/2: lower bound (x^p+m+1)^((1-p)/p) only (m > -1)
     """
-    if x <= 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0):
         raise DomainError(f"Jensen bounds stated for x > 0, got {x}")
     if m <= -1:
         raise DomainError(f"m must be > -1, got {m}")
-    xp = _x_pow(x, p)
+    if 0.5 <= p < 1 and m < 0:
+        raise DomainError(f"lower Jensen bound requires m >= 0 for 1/2 <= p < 1, got m={m}")
+    with np.errstate(over="ignore", divide="ignore"):
+        # float_power calls the C library's pow, as `**` on a float does
+        xp = np.float_power(xs, p)
 
-    def jensen(a: float) -> float:
-        # (x^p + a)^((1-p)/p); where x^p + a overflows, or is 0 at a = 0,
-        # it is x^(1-p) to double precision, and inf an upper bound
-        s = xp + a
-        return _x_pow(s, (1.0 - p) / p) if 0.0 < s < math.inf else _x_pow(x, 1.0 - p)
+        def jensen(a: float):
+            # (x^p + a)^((1-p)/p); where x^p + a overflows, or is 0 at a = 0,
+            # it is x^(1-p) to double precision, and inf an upper bound
+            s = xp + a
+            return np.where((0.0 < s) & (s < math.inf), np.float_power(s, (1.0 - p) / p),
+                            np.float_power(xs, 1.0 - p))
 
-    if p >= 1:
-        upper = jensen(m) if m >= 0 else None  # upper stated for m >= 0 only
-        return jensen(m + 1.0), upper
-    if p >= 0.5:
-        if m < 0:
-            raise DomainError(f"lower Jensen bound requires m >= 0 for 1/2 <= p < 1, got m={m}")
-        return jensen(m), jensen(m + 1.0)
-    return jensen(m + 1.0), None
+        if p >= 1:
+            lower, upper = jensen(m + 1.0), jensen(m) if m >= 0 else None  # upper for m >= 0
+        elif p >= 0.5:
+            lower, upper = jensen(m), jensen(m + 1.0)
+        else:
+            lower, upper = jensen(m + 1.0), None
+    if np.isinf(lower).any():
+        raise ConvergenceError(f"the Jensen lower bound overflows a double at m = {m}, p = {p}, "
+                               f"x = {xs[np.isinf(lower)].flat[0]}")
+    if np.ndim(x) == 0:
+        return float(lower), None if upper is None else float(upper)
+    return lower, upper
 
 
 def boyd_bounds(m: float) -> tuple[float, float]:
@@ -196,26 +219,33 @@ def ratio(m: float, p: float, x: float, tol: float = DEFAULT_TOL) -> float:
 
 # ---------------------------------------------------------------- h-functions
 
-def h1(x: float) -> float:
+# The h-functions take a float x or an array of x; `_pow` is the C library's
+# pow, as `**` on a float is.
+_pow = np.float_power
+
+
+def h1(x):
     """Rational-surd upper comparison function for V_0 from the R_1 analysis."""
     return 2.0 * x * (6.0 * x * x - 1.0) / (
-        1.0 + 6.0 * x * x + 12.0 * x ** 4 - 2.0 * x * math.sqrt(8.0 + x * x))
+        1.0 + 6.0 * x * x + 12.0 * _pow(x, 4) - 2.0 * x * np.sqrt(8.0 + x * x))
 
 
-def h2(x: float) -> float:
+def h2(x):
     x2 = x * x
-    s = math.sqrt(8.0 * x2 + (1.0 + x2) ** 2)
+    s = np.sqrt(8.0 * x2 + _pow(1.0 + x2, 2))
     num = 3.0 + 9.0 * x2 + 14.0 * x2 * x2 + (2.0 * x2 - 3.0) * s
-    den = -3.0 - 7.0 * x2 + 32.0 * x2 ** 2 + 28.0 * x2 ** 3 + (3.0 - 4.0 * x2 + 4.0 * x2 * x2) * s
+    den = (-3.0 - 7.0 * x2 + 32.0 * _pow(x2, 2) + 28.0 * _pow(x2, 3)
+           + (3.0 - 4.0 * x2 + 4.0 * x2 * x2) * s)
     return 2.0 * x * num / den
 
 
-def h3(x: float) -> float:
+def h3(x):
     x2 = x * x
-    s = math.sqrt(8.0 * x2 + (2.0 + x2) ** 2)
-    num = -30.0 - 23.0 * x2 + 32.0 * x2 ** 2 + 28.0 * x2 ** 3 + s * (15.0 - 8.0 * x2 + 4.0 * x2 * x2)
-    den = (30.0 + 3.0 * x2 - 42.0 * x2 ** 2 + 92.0 * x2 ** 3 + 56.0 * x2 ** 4
-           + s * (-15.0 + 18.0 * x2 - 12.0 * x2 * x2 + 8.0 * x2 ** 3))
+    s = np.sqrt(8.0 * x2 + _pow(2.0 + x2, 2))
+    num = (-30.0 - 23.0 * x2 + 32.0 * _pow(x2, 2) + 28.0 * _pow(x2, 3)
+           + s * (15.0 - 8.0 * x2 + 4.0 * x2 * x2))
+    den = (30.0 + 3.0 * x2 - 42.0 * _pow(x2, 2) + 92.0 * _pow(x2, 3) + 56.0 * _pow(x2, 4)
+           + s * (-15.0 + 18.0 * x2 - 12.0 * x2 * x2 + 8.0 * _pow(x2, 3)))
     return 2.0 * x * num / den
 
 
@@ -257,32 +287,27 @@ def crossover_x1() -> float:
 def verify_v0_bounds(grid: list[float] | None = None, tol: float = DEFAULT_TOL) -> Report:
     """g_pi(x) <= V_0(x) < g_4(x) on the grid plus x = 0 (equality only there)."""
     rep = Report("v0")
-    grid = [0.0] + (grid if grid is not None else default_grid())
-    for i, (x, v) in enumerate(zip(grid, eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist())):
-        lo, hi = g_k(math.pi, x), g_k(4.0, x)
-        if x == 0.0:
-            ok = abs(v - lo) <= 1e-12 * v and v < hi
-            margin = hi - v
-        else:
-            # strictness below the evaluation error is unresolvable; the
-            # suite flags only violations beyond the slack
-            margin = min(v - lo, hi - v)
-            ok = margin > -SLACK
-        rep.record(ok, margin, index=i, x=x, v0=v, lower=lo, upper=hi)
+    xs = np.array([0.0, *(grid if grid is not None else default_grid())])
+    v = eval_vmp_many(0.0, 2.0, xs, tol)[0]
+    lo, hi = g_k(math.pi, xs), g_k(4.0, xs)
+    # equality at x = 0 only; elsewhere strictness below the evaluation
+    # error is unresolvable, and the suite flags only violations beyond the slack
+    zero = xs == 0.0
+    margin = np.where(zero, hi - v, np.minimum(v - lo, hi - v))
+    ok = np.where(zero, (np.abs(v - lo) <= 1e-12 * v) & (v < hi), margin > -SLACK)
+    rep.add(ok, margin, index=np.arange(xs.size), x=xs, v0=v, lower=lo, upper=hi)
     return rep
 
 
 def find_gk_violation(k: float, side: str, grid: list[float] | None = None,
                       tol: float = DEFAULT_TOL) -> float | None:
     """First grid point where g_k fails as the given bound for V_0 (optimality witness)."""
-    grid = [0.0] + (grid if grid is not None else default_grid())
-    for x, v in zip(grid, eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist()):
-        gk = g_k(k, x)
-        if side == "upper" and v >= gk:
-            return x
-        if side == "lower" and v < gk - 1e-12:
-            return x
-    return None
+    xs = np.array([0.0, *(grid if grid is not None else default_grid())])
+    v, gk = eval_vmp_many(0.0, 2.0, xs, tol)[0], g_k(k, xs)
+    if side not in ("upper", "lower"):
+        return None
+    bad = v >= gk if side == "upper" else v < gk - 1e-12
+    return float(xs[bad.argmax()]) if bad.any() else None
 
 
 def verify_ratio_bounds(m_max: int, grid: list[float] | None = None,
@@ -290,16 +315,15 @@ def verify_ratio_bounds(m_max: int, grid: list[float] | None = None,
     """G_8^(m-1)(x^2) < R_m(x) < G_4^m(x^2) for integer m in [1, m_max], the
     ratios read off one chain per grid and each bound in one call per m."""
     rep = Report("ratio")
-    grid = grid if grid is not None else default_grid()
-    chain = chain_values(m_max, 2.0, grid, tol)
-    xs = np.asarray(grid, dtype=float)
-    y = xs * xs
-    for m in range(1, m_max + 1):
-        r = chain[m] / chain[m - 1]
-        lo, hi = G_k_m(8.0, m - 1.0, y), G_k_m(4.0, float(m), y)
-        for i, (x, r_i, lo_i, hi_i, margin) in enumerate(zip(
-                grid, r.tolist(), lo.tolist(), hi.tolist(), np.minimum(r - lo, hi - r).tolist())):
-            rep.record(margin > -SLACK, margin, index=i, m=m, x=x, r=r_i, lower=lo_i, upper=hi_i)
+    xs = np.asarray(grid if grid is not None else default_grid(), dtype=float)
+    chain = chain_values(m_max, 2.0, xs, tol)
+    ms, y = np.arange(1, m_max + 1), xs * xs
+    r = chain[1:] / chain[:-1]
+    lo = np.array([G_k_m(8.0, m - 1.0, y) for m in ms.tolist()])
+    hi = np.array([G_k_m(4.0, float(m), y) for m in ms.tolist()])
+    margin = np.minimum(r - lo, hi - r)
+    rep.add(margin > -SLACK, margin, index=np.tile(np.arange(xs.size), m_max),
+            m=np.repeat(ms, xs.size), x=np.tile(xs, m_max), r=r, lower=lo, upper=hi)
     return rep
 
 
@@ -321,9 +345,8 @@ def verify_ratio_monotone(m, grid: list[float] | None = None, tol: float = DEFAU
     reports = []
     for mi in ms:
         rep = Report("monotone")
-        r = chain[mi + 1] / chain[mi]
-        for i, (x, margin) in enumerate(zip(grid[1:], np.diff(r).tolist()), 1):
-            rep.record(margin > -SLACK, margin, index=i, m=mi, x=x)
+        margin = np.diff(chain[mi + 1] / chain[mi])
+        rep.add(margin > -SLACK, margin, index=np.arange(1, len(grid)), m=mi, x=grid[1:])
         reports.append(rep)
     return reports[0] if np.ndim(m) == 0 else reports
 
@@ -363,14 +386,13 @@ def verify_convexity_reciprocal(m, p: float, grid: list[float] | None = None,
         v, v1, v2 = below[mi + 2], below[mi + 1], below[mi]  # V_m, V_(m-1), V_(m-2)
         d1 = slope * (v - v1)
         d2 = curve * (v - v1) + slope * slope * (v - 2.0 * v1 + v2)
-        second = ((2.0 * d1 * d1 - v * d2) / v ** 3).tolist()
-        crits = (convexity_criterion_poly(float(mi), xs, v / v1).tolist()
-                 if mi >= 1 and p == 2 else None)
-        for i, x in enumerate(grid):
-            rep.record(second[i] >= -CONVEXITY_SLACK, second[i], index=i, m=mi, p=p, x=x,
-                       kind="exact")
-            if crits is not None:
-                rep.record(crits[i] < 0.0, -crits[i], index=i, m=mi, x=x, kind="criterion")
+        second = (2.0 * d1 * d1 - v * d2) / v ** 3
+        index = np.arange(xs.size)
+        rep.add(second >= -CONVEXITY_SLACK, second, index=index, m=mi, p=p, x=xs, kind="exact")
+        if mi >= 1 and p == 2:
+            crit = convexity_criterion_poly(float(mi), xs, v / v1)
+            rep.add(crit < 0.0, -crit, index=index, m=mi, x=xs, kind="criterion")
+            rep.violations.sort(key=lambda row: row["index"])  # exact first at each index
         reports.append(rep)
     return reports[0] if np.ndim(m) == 0 else reports
 
@@ -379,11 +401,12 @@ def verify_jensen(m: float, p: float, grid: list[float] | None = None,
                   tol: float = DEFAULT_TOL) -> Report:
     """V sits inside the regime-appropriate Jensen sandwich."""
     rep = Report("jensen")
-    grid = grid if grid is not None else default_grid()
-    for i, (x, v) in enumerate(zip(grid, eval_vmp_many(m, p, grid, tol)[0].tolist())):
-        lo, up = jensen_bounds(m, p, x)
-        margin = v - lo if up is None else min(v - lo, up - v)
-        rep.record(margin > -SLACK * max(1.0, abs(v)), margin, index=i, m=m, p=p, x=x)
+    xs = np.asarray(grid if grid is not None else default_grid(), dtype=float)
+    v = eval_vmp_many(m, p, xs, tol)[0]
+    lo, up = jensen_bounds(m, p, xs)
+    margin = v - lo if up is None else np.minimum(v - lo, up - v)
+    rep.add(margin > -SLACK * np.maximum(1.0, np.abs(v)), margin, index=np.arange(xs.size),
+            m=m, p=p, x=xs)
     return rep
 
 
@@ -391,11 +414,10 @@ def verify_boyd(m_grid: list[float] | None = None) -> Report:
     """eval_vm0(m, 2) strictly inside Boyd's bounds."""
     rep = Report("boyd")
     m_grid = m_grid if m_grid is not None else [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0]
-    for m in m_grid:
-        v = eval_vm0(m, 2.0).value
-        lo, hi = boyd_bounds(m)
-        margin = min(v - lo, hi - v)
-        rep.record(margin > 0.0, margin, m=m, v=v, lower=lo, upper=hi)
+    v = np.array([eval_vm0(m, 2.0).value for m in m_grid])
+    lo, hi = np.reshape([boyd_bounds(m) for m in m_grid], (-1, 2)).T
+    margin = np.minimum(v - lo, hi - v)
+    rep.add(margin > 0.0, margin, m=m_grid, v=v, lower=lo, upper=hi)
     return rep
 
 
@@ -408,27 +430,19 @@ def verify_r123(tol: float = DEFAULT_TOL) -> Report:
     x1 = crossover_x1()
     rep.info["x0"] = x0
     rep.info["x1"] = x1
-    rep.record(abs(x0 - 0.2511) < 1e-3, abs(x0 - 0.2511), check="x0")
-    rep.record(abs(x1 - 1.399) < 1e-3, abs(x1 - 1.399), check="x1")
-
-    def v0(grid):
-        return zip(grid.tolist(), eval_vmp_many(0.0, 2.0, grid, tol)[0].tolist())
+    err = np.abs(np.array([x0, x1]) - [0.2511, 1.399])
+    rep.add(err < 1e-3, err, check=["x0", "x1"])
 
     # V_0 <= h1 on [x0, inf): the R_1 lower bound in disguise
-    for x, v in v0(np.geomspace(x0 * 1.02, 50.0, 120)):
-        margin = h1(x) - v
-        rep.record(margin > -SLACK, margin, check="h1", x=x)
+    xs = np.geomspace(x0 * 1.02, 50.0, 120)
+    margin = h1(xs) - eval_vmp_many(0.0, 2.0, xs, tol)[0]
+    rep.add(margin > -SLACK, margin, check="h1", x=xs)
     # V_0 >= h2 wherever h2 is a genuine (positive) lower candidate;
     # V_0 <= h3 wherever h3 is a genuine upper candidate
-    values = list(v0(np.geomspace(1e-2, 50.0, 150)))
-    for x, v in values:
-        val = h2(x)
-        if val > 0:
-            margin = v - val
-            rep.record(margin > -SLACK, margin, check="h2", x=x)
-    for x, v in values:
-        val = h3(x)
-        if val > 0:
-            margin = val - v
-            rep.record(margin > -SLACK, margin, check="h3", x=x)
+    xs = np.geomspace(1e-2, 50.0, 150)
+    v = eval_vmp_many(0.0, 2.0, xs, tol)[0]
+    for check, val, sign in (("h2", h2(xs), 1.0), ("h3", h3(xs), -1.0)):
+        at = val > 0
+        margin = sign * (v[at] - val[at])
+        rep.add(margin > -SLACK, margin, check=check, x=xs[at])
     return rep

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, certify, polys, recursion
 from .core import DEFAULT_TOL, EvalParams, _check_finite, eval_vmp, eval_vmp_many
-from .errors import ChainMismatchError, DomainError, RegpotError
+from .errors import ChainMismatchError, ConvergenceError, DomainError, RegpotError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -115,50 +115,39 @@ def cmd_eval(args) -> int:
 
 def _table_rows(args) -> tuple[list[str], list[dict]]:
     grid = _parse_grid(args.grid)
-    cols = ["x", "value", "abs_err_estimate", "method"]
-    if args.with_bounds:
-        cols += ["jensen_lower", "jensen_upper"]
-        if args.m == 0:
-            cols += ["g_pi", "g_4"]
-    if args.with_ratio:
-        cols += ["ratio"]
-    if args.with_vav:
-        cols += ["v_av"]
     values, errs, methods = eval_vmp_many(args.m, args.p, grid, args.tol)
-    # the ratio and v_av columns: one call and one chain on the points x > 0
+    table = {"x": grid, "value": values, "abs_err_estimate": errs, "method": methods}
+    # the other columns: one call, one chain or one array on the points x > 0
     nan = float("nan")
     xs = np.asarray(grid)
     pos = xs > 0
+    if args.with_bounds:
+        lower, upper = np.full(xs.size, nan), np.full(xs.size, nan)
+        if pos.any():
+            lower[pos], hi = bounds.jensen_bounds(args.m, args.p, xs[pos])
+            if hi is not None:
+                upper[pos] = hi
+        table["jensen_lower"], table["jensen_upper"] = lower, upper
+        if args.m == 0:
+            table["g_pi"], table["g_4"] = bounds.g_k(math.pi, xs), bounds.g_k(4.0, xs)
     if args.with_ratio:
         ratios = np.full(xs.size, nan)
         if pos.any():
-            ratios[pos] = values[pos] / eval_vmp_many(args.m - 1.0, args.p, xs[pos], args.tol)[0]
+            below = eval_vmp_many(args.m - 1.0, args.p, xs[pos], args.tol)[0]
+            if not below.all():
+                raise ConvergenceError(f"V_{args.m - 1.0}^{args.p}({xs[pos][below == 0][0]}) "
+                                       "underflows a double, so R_m has no value")
+            ratios[pos] = values[pos] / below
+        table["ratio"] = ratios
     if args.with_vav:
         v_avs = np.empty(xs.size)
         if pos.any():
             v_avs[pos] = recursion.averaged_potential(args.with_vav, args.p, xs[pos], args.tol)
         if not pos.all():
             v_avs[~pos] = recursion.averaged_at_zero(args.with_vav, args.p)
-    rows = []
-    for i, x in enumerate(grid):
-        row: dict = {"x": x, "value": float(values[i]),
-                     "abs_err_estimate": float(errs[i]), "method": methods[i]}
-        if args.with_bounds:
-            if x > 0:
-                lo, hi = bounds.jensen_bounds(args.m, args.p, x)
-            else:
-                lo, hi = nan, nan
-            row["jensen_lower"] = lo
-            row["jensen_upper"] = hi if hi is not None else nan
-            if args.m == 0:
-                row["g_pi"] = bounds.g_k(math.pi, x)
-                row["g_4"] = bounds.g_k(4.0, x)
-        if args.with_ratio:
-            row["ratio"] = float(ratios[i])
-        if args.with_vav:
-            row["v_av"] = float(v_avs[i])
-        rows.append(row)
-    return cols, rows
+        table["v_av"] = v_avs
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return list(table), [dict(zip(table, row)) for row in zip(*columns)]
 
 
 def cmd_table(args) -> int:

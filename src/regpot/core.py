@@ -10,11 +10,14 @@ at a whole vector of (m, z) per call.  Under Mori's map u = exp(t - e^(-t))
 (Takahasi & Mori 1974) the integrand, sampled in logs with lgamma(m+1) in the
 exponent so that no Gamma(m+1) overflows, decays double exponentially in t.
 The step is halved until two successive levels agree to tol (Trefethen &
-Weideman 2014); the estimate is the larger difference plus the exponent's
-rounding.  Near tol = 1e-15 that rounding can pass tol |K|: the value comes
-back with that honest estimate, or a ConvergenceError names the tol as out
-of reach.  `eval_vmp_many` picks closed forms, the m = -1 convention or the
-large-x series point by point, and sends the other points to one kernel call.
+Weideman 2014), or until one level agrees and its difference is at most 1/8
+of the one before: the error of a converging level roughly squares each
+halving.  The estimate is the larger of the two differences, or the last one
+after an eightfold fall, plus the exponent's rounding.  Near tol = 1e-15
+that rounding can pass tol |K|: the value comes back with that honest
+estimate, or a ConvergenceError names the tol as out of reach.
+`eval_vmp_many` picks closed forms, the m = -1 convention or the large-x
+series point by point, and sends the other points to one kernel call.
 """
 
 from __future__ import annotations
@@ -168,10 +171,16 @@ def _quad_vmp(m, c: float, z, tol: float, log_norm: float | None = None):
             new_diff = np.abs(new_total - total[rows])
             total[rows] = new_total
             round_rel = rounding[rows] + _EPS * math.sqrt(n)
-            # two successive levels must agree: one can by chance
+            # two successive levels must agree, since one can by chance, or
+            # one must agree where the difference fell eightfold: the error
+            # of a converging level roughly squares each halving
             limit = np.maximum(0.1 * tol, round_rel) * new_total
-            done = (new_diff <= limit) & (diff[rows] <= limit)
-            estimate[rows] = np.maximum(new_diff, diff[rows]) + round_rel * new_total
+            agree = new_diff <= limit
+            done = agree & (diff[rows] <= limit)
+            early = agree & ~done & (8.0 * new_diff <= diff[rows])
+            estimate[rows] = (np.where(early, new_diff, np.maximum(new_diff, diff[rows]))
+                              + round_rel * new_total)
+            done |= early
             diff[rows] = new_diff
             rows = rows[~done]
             if not rows.size:
@@ -306,7 +315,7 @@ def eval_vmp_many(m, p: float, xs, tol: float = DEFAULT_TOL):
             values[at] = eval_closed_form_inv_p(mi, n, xs[at])
             # no coefficient's gamma ratio errs by more than the leading one's
             lead, lead_err = gamma_ratio(mi + 1.0 + (n - 1), mi + 1.0)
-            errs[at] = values[at] * lead_err / lead + _ulp_slack(values[at]) * n
+            errs[at] = values[at] * (lead_err / lead) + _ulp_slack(values[at]) * n
         return values, errs, methods
     near = np.flatnonzero(rest & (z > 2.0 * (ms + 2.0))) if p > 1 else []
     if len(near):

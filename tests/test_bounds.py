@@ -5,10 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpot import bounds
 from regpot.core import EvalParams, eval_vmp
-from regpot.errors import DomainError
+from regpot.errors import ConvergenceError, DomainError
 
 
 def rel(a, b):
@@ -148,6 +150,30 @@ def test_jensen_regimes():
     assert hi is None
 
 
+def test_jensen_bounds_on_an_array_are_the_scalar_formula():
+    # float_power is the C library's pow, as `**` on a float is: the same bits
+    xs = [1e-3, 0.37, 1.0, 2.5, 29.9, 1e10]
+    for m, p in [(2.0, 2.0), (-0.4, 2.0), (1.0, 0.75), (1.0, 0.4), (0.5, 3.0)]:
+        lo, hi = bounds.jensen_bounds(m, p, np.array(xs))
+        a_lo = m if 0.5 <= p < 1 else m + 1.0
+        assert lo.tolist() == [(x ** p + a_lo) ** ((1.0 - p) / p) for x in xs]
+        assert [bounds.jensen_bounds(m, p, x)[0] for x in xs] == lo.tolist()
+        assert type(bounds.jensen_bounds(m, p, 1.0)[0]) is float
+        if hi is not None:
+            a_hi = m + 1.0 if 0.5 <= p < 1 else m
+            assert hi.tolist() == [(x ** p + a_hi) ** ((1.0 - p) / p) for x in xs]
+
+
+@pytest.mark.parametrize("x", [1e-8, np.array([2.0, 1e-8, 0.5])], ids=["float", "array"])
+def test_jensen_lower_bound_past_the_double_range_is_convergence_error(x):
+    # (x^p + m + 1)^((1-p)/p) overflows, and inf is no lower bound; V
+    # overflows there too
+    with pytest.raises(ConvergenceError, match="overflows a double"):
+        bounds.jensen_bounds(1e8, 1e-3, x)
+    with pytest.raises(ConvergenceError, match="overflows a double"):
+        eval_vmp(EvalParams(1e8, 1e-3, 1e-8))
+
+
 def test_boyd_brackets_v0_at_zero():
     for m in (1.0, 2.0, 10.0, 100.0):
         lo, hi = bounds.boyd_bounds(m)
@@ -195,6 +221,18 @@ def test_gk_optimality_witnesses():
 
 def test_ratio_suite_passes():
     assert bounds.verify_ratio_bounds(10).passed
+
+
+def test_convexity_violations_keep_their_order():
+    # at p = 8, (1/V)'' from the chain's differences loses its sign at large x
+    rep = bounds.verify_convexity_reciprocal(3, 8.0)
+    assert rep.n_points == 120
+    assert [(v["index"], v["kind"], v["m"], v["p"]) for v in rep.violations] == [
+        (106, "exact", 3, 8.0), (114, "exact", 3, 8.0)]
+    assert [v["x"] for v in rep.violations] == [10.393727852548412, 15.54890262961569]
+    assert [v["margin"] for v in rep.violations] == pytest.approx(
+        [-7143630.407093881, -123282876070.78426], rel=1e-6)
+    assert rep.worst_margin == rep.violations[1]["margin"]
 
 
 def test_monotone_and_convexity_suites():
@@ -245,3 +283,35 @@ def test_report_json_shape():
     import json
     d = json.loads(rep.to_json())
     assert set(d) == {"name", "passed", "n_points", "worst_margin", "violations", "info"}
+
+
+def _record_one(rep, ok, margin, **context):
+    """The one-point rule, written out as the reference: count the point,
+    keep the smallest margin (a NaN never compares smaller), and list the
+    point if not ok."""
+    rep.n_points += 1
+    if margin < rep.worst_margin:
+        rep.worst_margin = margin
+    if not ok:
+        rep.violations.append({"margin": margin, **context})
+
+
+_MARGINS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0]),
+                     st.floats(allow_nan=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.booleans(), _MARGINS, st.floats(-1e3, 1e3)), max_size=12),
+       cut=st.integers(0, 12))
+def test_report_add_is_a_loop_of_one_point_records(points, cut):
+    # ties, signed zeros, NaN and infinite margins, and failing points, one
+    # by one and in two batches: the second meets the worst margin of the first
+    looped, written_out, batched = (bounds.Report("t") for _ in range(3))
+    for i, (ok, margin, x) in enumerate(points):
+        looped.add([ok], [margin], index=i, x=x, kind="k")
+        _record_one(written_out, ok, margin, index=i, x=x, kind="k")
+    for part in (slice(0, cut), slice(cut, None)):
+        index = np.arange(len(points))[part]
+        ok, margin, x = (np.array([pt[j] for pt in points[part]]) for j in range(3))
+        batched.add(ok, margin, index=index, x=x, kind="k")
+    assert batched.to_json() == looped.to_json() == written_out.to_json()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -80,6 +81,16 @@ def test_table_json_matches_csv_numbers(capsys):
         assert float(jr["value"]) == pytest.approx(float(cr[1]), rel=1e-9)
 
 
+def test_table_ratio_where_values_underflow_is_an_error(capsys):
+    # V_19 and V_20 both round to 0 at x^p ~ 1e2990: no ratio, as in bounds.ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["table", "--m", "20", "--p", "10", "--grid", "1e299,1e300,2,linear",
+                         "--with-ratio"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: V_19.0^10.0(1e+299) underflows")
+
+
 def test_table_deterministic(capsys):
     _, a = run(capsys, ["table", "--m", "2", "--p", "2", "--grid", "0.1,10,5,geometric"])
     _, b = run(capsys, ["table", "--m", "2", "--p", "2", "--grid", "0.1,10,5,geometric"])
@@ -121,6 +132,23 @@ def test_verify_ratio_output_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ae483609452a43fd4608b67650db30173786f95a33f89d97507e24f635b869d1")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "jensen"], "643366bc986f56a67c02c1af8d063f22e589157cbc22732c50bd329935fed71f"),
+    (["verify", "v0"], "5a2240dd7857471ecc7cc104e0ab1893a0b2c141d0b8650640d77e94ba6f31d1"),
+    (["verify", "r123"], "ad1d06ce6e4488767a585b98bc4faecfe5b44ef3be4d60aca0bdbd1b7e577c00"),
+    (["verify", "monotone"], "3e94948ca47398c60cfa93bbc0f0b24a82ac7a9e440ff1a10f857936aa11d5ec"),
+    (["verify", "convexity"], "adc8e92fdf2247c4968b8b6caa79f2cd5482b73be10d2611e1fdb9a523379b5d"),
+    (["table", "--m", "0", "--p", "2", "--grid", "0,12,25,linear", "--with-bounds",
+      "--with-ratio", "--with-vav", "4"],
+     "4d7f210e3b6a8a8e17d62b35a3b7e419923e367aee2de62820c5576ee22b8234"),
+], ids=["jensen", "v0", "r123", "monotone", "convexity", "table"])
+def test_catalog_output_is_pinned(capsys, argv, digest):
+    # the suites' margins and the table's columns on arrays, byte for byte
+    code, out = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite, library", [

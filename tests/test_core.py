@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import warnings
 
 import mpmath
 import pytest
@@ -243,6 +244,22 @@ def test_error_estimate_is_honest_at_known_misses(m, p, x, tol):
     _assert_honest(eval_vmp(EvalParams(m, p, x), tol), _v_ref(m, p, x))
 
 
+def test_error_estimate_is_honest_where_the_kernel_stops_early():
+    # the kernel may stop at the first level that agrees to tol, where the
+    # difference fell eightfold; seeded draws over the domain where that
+    # rule was tried, each quadrature estimate against the reference
+    rng = random.Random(7)
+    n_quad = 0
+    for _ in range(400):
+        m, p = 120.0 - 121.0 * rng.random(), rng.uniform(0.2, 6.0)
+        x, tol = 10.0 ** rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-14.0, -6.0)
+        res = eval_vmp(EvalParams(m, p, x), tol)
+        if res.method == "quadrature":
+            n_quad += 1
+            _assert_honest(res, _v_ref(m, p, x))
+    assert n_quad > 250
+
+
 _TOLS = st.floats(-15.0, -6.0).map(lambda e: 10.0 ** e)
 _MS = st.one_of(st.floats(-0.9999, 20.0), st.floats(20.0, 250.0), st.integers(0, 30).map(float))
 
@@ -360,6 +377,17 @@ def test_estimate_of_an_underflowing_value_is_positive(call):
     res = call()
     assert res.value == 0.0
     assert res.abs_err_estimate > 0.0
+
+
+def test_closed_form_estimate_of_a_value_near_the_double_range():
+    # V ~ 1e285 times the leading gamma ratio's error once passed the double
+    # range before the division by that ratio: "est. err inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eval_vmp(EvalParams(10000.0, 0.05, 1e300))
+    assert res.method == "closed_form_inv_p"
+    assert math.isfinite(res.abs_err_estimate)
+    _assert_honest(res, _v_ref(10000.0, 0.05, 1e300))
 
 
 def test_vmp_wrapper_bit_for_bit():
